@@ -85,8 +85,8 @@ def test_perf_schedule_validation_4096(benchmark):
 
 
 # --------------------------------------------------------------------------
-# Routing-engine scaling: every engine backend vs the seed loop.  The sweep
-# itself lives in bench_engine_backends.py (importable + runnable as a
+# Routing-engine scaling: the engine core vs the seed loop.  The sweep
+# itself lives in bench_engine.py (importable + runnable as a
 # script); this test is the pytest entry point and keeps its historical name
 # because the docs reference it.
 
@@ -94,15 +94,15 @@ def test_perf_schedule_validation_4096(benchmark):
 def test_perf_engine_scaling():
     """Scaling sweep N = 256 .. 16384 on mesh / hypercube / hypermesh.
 
-    Every backend routes identical fixed-seed workloads; each emitted row
-    must be bit-identical to the seed loop (schedule, stats, serialized
-    plan payload — checked inside run_engine_benchmark), the indexed
-    engine must beat the seed loop by >= 5x at N = 4096 and the numpy
-    SoA core by >= 10x.  Records BENCH_engine.json at the repo root.
+    The core routes identical fixed-seed workloads; each emitted row must
+    be bit-identical to the seed loop (schedule, stats, serialized plan
+    payload — checked inside run_engine_benchmark), and the core must beat
+    the seed loop by >= 10x at N = 4096.  Records BENCH_engine.json at the
+    repo root.
     """
-    import bench_engine_backends
+    import bench_engine
 
-    artifact = bench_engine_backends.run_engine_benchmark()
+    artifact = bench_engine.run_engine_benchmark()
     rows = artifact["rows"]
     assert all(r["equivalent"] for r in rows)
 
@@ -110,20 +110,20 @@ def test_perf_engine_scaling():
     from repro.viz import format_table
 
     emit(
-        "Routing-engine scaling (seed loop vs engine backends)",
+        "Routing-engine scaling (seed loop vs engine core, medians)",
         format_table(
-            ["topology", "N", "workload", "backend", "steps", "seed ms",
-             "engine ms", "speedup"],
+            ["topology", "N", "workload", "steps", "seed ms", "core ms",
+             "speedup", "core spread"],
             [
                 [
                     r["topology"],
                     r["n"],
                     r["workload"],
-                    r["backend"],
                     r["steps"],
                     f"{r['seed_engine_seconds'] * 1e3:.1f}",
                     f"{r['engine_seconds'] * 1e3:.1f}",
                     f"{r['speedup']:.2f}x",
+                    f"{r['engine_spread']:.2f}",
                 ]
                 for r in rows
             ],

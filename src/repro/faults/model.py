@@ -202,9 +202,9 @@ class FaultModel:
         packet)`` the scalar method computes — a pure per-packet function,
         so batching cannot reorder or change the sequence — with the
         degenerate probabilities (0 and 1) short-circuited to one array
-        fill.  This is what lets the vectorized degraded core settle a
-        whole step's granted transmissions in one call while staying
-        bit-identical to the indexed core's per-move draws.
+        fill.  This is what lets the engine core settle a whole step's
+        granted transmissions in one call while staying bit-identical to
+        the scalar oracle's per-move draws.
         """
         packets = np.asarray(packets, dtype=np.int64)
         m = packets.shape[0]
@@ -359,13 +359,17 @@ class ResolvedFaults:
         }
 
 
-#: Memo for :func:`resolve_faults`, keyed by ``(id(topology), model)`` with
-#: a weakref guard: entries die with their topology (the callback evicts),
-#: and an id reused by a new topology misses the ``is`` check and
-#: re-resolves.  Resolution is deterministic, so equal keys really do mean
-#: an identical result — the memo exists so repeated routing calls against
-#: one fault config share one :class:`ResolvedFaults` (and therefore one
-#: cached surviving graph) instead of resampling and rebuilding per call.
+#: Memo for :func:`resolve_faults`: ``id(topology) -> (weakref, model,
+#: resolved)``, the most recent resolution per topology.  Resolution is
+#: deterministic, so an equal model really does mean an identical result —
+#: the memo exists so the routing and certification calls of one fault
+#: config share one :class:`ResolvedFaults` (and therefore one cached
+#: surviving graph) instead of resampling and rebuilding per call.  One
+#: entry per topology bounds it: a resolution holds megabytes at large N,
+#: and a caller drawing a fresh model per call would otherwise keep every
+#: one alive as long as the topology.  Entries die with their topology (the
+#: weakref callback evicts), and an id reused by a new topology misses the
+#: ``is`` check and re-resolves.
 _RESOLVE_MEMO: dict = {}
 
 
@@ -376,22 +380,30 @@ def resolve_faults(model: FaultModel, topology: "Topology") -> ResolvedFaults:
     the topology does not have — a misconfigured fault plan should fail
     loudly, not silently injure a different machine.
 
-    Memoized per ``(model, topology)`` pair: the same model resolved
-    against the same topology instance returns the *same*
+    Memoized per topology, most recent model only: resolving the same
+    model against the same topology instance again returns the *same*
     :class:`ResolvedFaults` object, which is what lets its surviving-graph
     cache pay off across routing calls.
     """
-    key = (id(topology), model)
+    key = id(topology)
     hit = _RESOLVE_MEMO.get(key)
-    if hit is not None and hit[0]() is topology:
-        return hit[1]
+    if hit is not None and hit[0]() is topology and hit[1] == model:
+        return hit[2]
     resolved = _resolve_faults(model, topology)
     try:
-        ref = weakref.ref(topology, lambda _, k=key: _RESOLVE_MEMO.pop(k, None))
+        ref = weakref.ref(topology, _evict_resolution)
     except TypeError:  # pragma: no cover - non-weakrefable topology
         return resolved
-    _RESOLVE_MEMO[key] = (ref, resolved)
+    _RESOLVE_MEMO[key] = (ref, model, resolved)
     return resolved
+
+
+def _evict_resolution(ref: weakref.ref) -> None:
+    """Weakref callback: drop a dead topology's memo entry (unless a newer
+    resolution already replaced it)."""
+    for key, entry in list(_RESOLVE_MEMO.items()):
+        if entry[0] is ref:
+            del _RESOLVE_MEMO[key]
 
 
 def _resolve_faults(model: FaultModel, topology: "Topology") -> ResolvedFaults:

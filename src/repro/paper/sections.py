@@ -710,8 +710,8 @@ def _compute_bench_trajectories(profile: PaperProfile) -> SectionArtifacts:
     bench_dir = Path.cwd()
     figures: list[Figure] = []
     specs = (
-        ("BENCH_engine.json", "n", "speedup", "backend",
-         "Engine speedup vs seed loop, by backend"),
+        ("BENCH_engine.json", "n", "speedup", "workload",
+         "Engine speedup vs seed loop, by workload"),
         ("BENCH_plancache.json", "n", "replay_speedup", "topology",
          "Plan-cache warm replay speedup, by topology"),
         ("BENCH_faults.json", "amount", "steps_vs_fault_free", "topology",
@@ -912,7 +912,7 @@ PAPER_SECTIONS: dict[str, SectionSpec] = _registry(
         "bench-trajectories", "BENCH_* trajectory charts",
         ("E20", "E23", "E24"),
         "ASCII charts over the committed BENCH_* artifacts (engine "
-        "backends, plan cache, faults, serving latency); host timings, "
+        "core, plan cache, faults, serving latency); host timings, "
         "so rendered locally and never golden-checked",
         golden=False,
         compute=_compute_bench_trajectories,

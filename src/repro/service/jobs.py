@@ -63,7 +63,6 @@ class RouteRequest:
     demands: tuple[tuple[int, int], ...] | None = None
     router: str = "auto"
     arbitration: str = "overtaking"
-    backend: str = "indexed"
     fault: dict | None = None
     timeout: float | None = None
 
@@ -76,7 +75,6 @@ class RouteRequest:
             "demands",
             "router",
             "arbitration",
-            "backend",
             "fault",
             "timeout",
         }
@@ -86,7 +84,6 @@ class RouteRequest:
     def from_body(cls, body: Mapping) -> "RouteRequest":
         """Validate a JSON body; :class:`ValidationError` names every
         offending field at once (clients fix one round trip, not N)."""
-        from ..sim.backends import ENGINE_BACKENDS
         from ..sim.engine import ARBITRATION_POLICIES
         from ..sim.task import TOPOLOGY_BUILDERS, WORKLOAD_BUILDERS
 
@@ -146,12 +143,6 @@ class RouteRequest:
                 f"unknown policy {arbitration!r}; known: {ARBITRATION_POLICIES}"
             )
 
-        backend = body.get("backend", "indexed")
-        if backend not in ENGINE_BACKENDS:
-            errors["backend"] = (
-                f"unknown backend {backend!r}; known: {tuple(ENGINE_BACKENDS)}"
-            )
-
         fault = body.get("fault")
         if fault is not None:
             if not isinstance(fault, dict):
@@ -181,7 +172,6 @@ class RouteRequest:
             demands=parsed_demands,
             router="auto",
             arbitration=arbitration,
-            backend=backend,
             fault=dict(fault) if fault else None,
             timeout=float(timeout) if timeout is not None else None,
         )
@@ -228,7 +218,6 @@ class RouteRequest:
             if self.demands is not None
             else None,
             "arbitration": self.arbitration,
-            "backend": self.backend,
             "fault": self.fault,
             "plan_root": plan_root,
         }
@@ -296,7 +285,6 @@ def execute_route(params: dict) -> dict:
         topology,
         pairs,
         arbitration=params.get("arbitration", "overtaking"),
-        backend=params.get("backend", "indexed"),
         cache=cache if cache is not None else False,
         fault_model=fault_model,
     )

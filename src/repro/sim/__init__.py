@@ -1,15 +1,7 @@
 """Word-level synchronous network simulator: schedules, routers, adaptive
 routing engine, and the SIMD compute/communicate machine."""
 
-from .backends import (
-    ENGINE_BACKENDS,
-    BackendSpec,
-    available_backends,
-    degraded_backends,
-    numpy_route_core,
-    resolve_backend,
-    resolve_degraded_backend,
-)
+from .core import FaultCallback, route_core
 from .engine import (
     ARBITRATION_POLICIES,
     RoutedDemands,
@@ -18,7 +10,6 @@ from .engine import (
     route_demands,
     route_permutation,
 )
-from .degraded import FaultCallback, numpy_degraded_core, route_core_degraded
 from .machine import Compute, Exchange, Permute, ProgramOp, RunResult, SimdMachine
 from .plancache import (
     PlanCache,
@@ -65,13 +56,6 @@ __all__ = [
     "route_path",
     "router_for",
     "ARBITRATION_POLICIES",
-    "ENGINE_BACKENDS",
-    "BackendSpec",
-    "available_backends",
-    "degraded_backends",
-    "resolve_backend",
-    "resolve_degraded_backend",
-    "numpy_route_core",
     "StepTracer",
     "StepRecord",
     "EngineStepProbe",
@@ -82,8 +66,7 @@ __all__ = [
     "RoutedDemands",
     "replay_schedule",
     "FaultCallback",
-    "route_core_degraded",
-    "numpy_degraded_core",
+    "route_core",
     "PlanCache",
     "PlanKey",
     "plan_key",

@@ -39,19 +39,18 @@ with the ``arbitration`` keyword:
     behind it never reach a channel), and ``max_queue_depth`` measures
     buffering under strict FIFO service.
 
-Engine internals and the equivalence guarantee
-----------------------------------------------
+The step loop and its oracle
+----------------------------
 
-The arbitration loop is indexed rather than scanned: an active-node
-worklist visits only nodes with queued packets, queues are intrusive
-doubly-linked lists giving O(1) grant/dequeue, next hops and hypermesh net
-ids are cached per packet position (routers are pure functions of
-``(current, dest)``, so each is computed once per hop instead of once per
-step), and ``max_queue_depth`` is maintained incrementally.  None of this
-changes behaviour: under the default policy the engine produces
-**bit-identical** schedules and statistics to the seed loop preserved in
-:mod:`repro.sim._reference`, which the equivalence suite asserts on every
-topology family.
+Both entry points run one step loop, :func:`repro.sim.core.route_core`: a
+structure-of-arrays core that holds packet positions, next hops and the
+queue priority order in flat NumPy arrays and arbitrates a whole step per
+call.  Its contract is **bit-identity** — same step dicts in the same
+insertion order, same :class:`~repro.sim.stats.RoutingStats`, same error
+messages — with the scalar oracle in :mod:`repro.sim._reference`, a plain
+per-packet sweep that matches the seed loop wherever the seed loop is
+defined.  The equivalence suites and the differential fuzz harness enforce
+it; nothing at runtime imports the oracle.
 
 Instrumentation: pass ``on_step`` to observe each committed step, and pass
 ``timing=True`` to record host-side per-step wall-clock into
@@ -79,17 +78,12 @@ Fault injection
 
 Both entry points accept ``fault_model=`` (a
 :class:`~repro.faults.model.FaultModel`).  A model with nothing enabled is
-contractually a **no-op**: the engine takes the fault-free path above and
-output is bit-identical to passing no model (the fuzz suite enforces
-this).  An enabled model routes through the selected backend's *degraded*
-core instead (``"indexed"`` ->
-:func:`~repro.sim.degraded.route_core_degraded`, ``"numpy"``/``"numba"``
--> :func:`~repro.sim.degraded.numpy_degraded_core`; bit-identical by
-contract) — minimal detours around dead links/nodes/nets, serialized
-sub-transfers on degraded hypermesh nets, and retry/drop semantics with
-``dropped`` / ``retried`` accounting on :class:`RoutingStats` (observable
-per event via ``on_fault``).  The fault configuration is folded into the
-plan-cache key,
+contractually a **no-op**: the run is exactly a run with no model.  An
+enabled model runs the same core in its faulted mode — minimal detours
+around dead links/nodes/nets, serialized sub-transfers on degraded
+hypermesh nets, and retry/drop semantics with ``dropped`` / ``retried``
+accounting on :class:`RoutingStats` (observable per event via
+``on_fault``).  The fault configuration is folded into the plan-cache key,
 so a faulted run can never replay a fault-free plan or vice versa; runs
 carrying an ``on_fault`` hook route live (counted as ``fault_bypassed``).
 See docs/FAULTS.md for the full semantics.
@@ -98,19 +92,17 @@ See docs/FAULTS.md for the full semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..faults.model import FaultModel
-from ..networks.base import ChannelModel, HypergraphTopology, Topology
+from ..networks.base import HypergraphTopology, Topology
 from ..routing.permutation import Permutation
 from . import plancache as _plancache
-from .backends import resolve_backend, resolve_degraded_backend
-from .degraded import FaultCallback
+from .core import ARBITRATION_POLICIES, FaultCallback, check_arbitration, route_core
 from .routers import Router, router_for
-from .schedule import CommSchedule, ScheduleError
+from .schedule import CommSchedule
 from .stats import RoutingStats
 
 __all__ = [
@@ -122,18 +114,6 @@ __all__ = [
     "route_demands",
     "replay_schedule",
 ]
-
-#: Channel-arbitration disciplines accepted by the engine.
-ARBITRATION_POLICIES = ("overtaking", "fifo")
-
-#: Smallest batch worth handing to ``Router.next_hop_array``: below this,
-#: NumPy's fixed per-call overhead loses to scalar next-hop computation.
-_VECTOR_REFILL_MIN = 64
-
-#: Queue depth at which the engine abandons compact list queues: past this,
-#: ``list.remove`` degrades toward the seed loop's O(depth) scans and the
-#: intrusive linked lists win.
-_COMPACT_MAX_DEPTH = 8
 
 #: Signature of the ``on_step`` instrumentation hook: called after each
 #: committed step with ``(step_index, moves, stats)``.  ``moves`` is the
@@ -196,380 +176,6 @@ class RoutedDemands:
     stats: RoutingStats
 
 
-def _route_core(
-    topology: Topology,
-    sources: Sequence[int],
-    dests: Sequence[int],
-    router: Router,
-    max_steps: int,
-    *,
-    arbitration: str = "overtaking",
-    on_step: StepCallback | None = None,
-    timing: bool = False,
-) -> tuple[list[dict[int, int]], RoutingStats]:
-    """Shared indexed arbitration loop for permutation and h-relation routing."""
-    if arbitration not in ARBITRATION_POLICIES:
-        raise ValueError(
-            f"unknown arbitration policy {arbitration!r}; "
-            f"expected one of {ARBITRATION_POLICIES}"
-        )
-    fifo = arbitration == "fifo"
-    n = topology.num_nodes
-    hypergraph = topology.channel_model is ChannelModel.HYPERGRAPH_NET
-    if hypergraph and not isinstance(topology, HypergraphTopology):
-        raise TypeError(
-            f"hypergraph channel model requires a HypergraphTopology, "
-            f"got {type(topology).__name__}"
-        )
-    shared_net = topology.shared_net if hypergraph else None
-    next_hop = router.next_hop
-    # Routers that answer elementwise (next_hop_array) let the engine refill
-    # the per-packet hop cache in one NumPy call per step instead of one
-    # Python call per hop.  Hypergraph routing stays scalar: it needs the
-    # net id alongside the hop.
-    next_hop_array = (
-        getattr(router, "next_hop_array", None) if not hypergraph else None
-    )
-
-    npk = len(sources)
-    position = list(sources)
-    dests = list(dests)
-
-    # Two FIFO queue representations, used in sequence.  While the network
-    # is crowded and queues are shallow ("compact" phase), one Python list
-    # per node — the seed loop's exact layout — wins: C-speed append and
-    # remove beat Python-level pointer surgery, and scanning range(n) costs
-    # nothing when most nodes hold a packet.  Once traffic thins, or a queue
-    # deepens past _COMPACT_MAX_DEPTH (where list.remove degrades to the
-    # seed's O(depth) scans), the engine switches to intrusive doubly
-    # linked lists with an active-node worklist: O(1) unlink, no empty-node
-    # scanning.  in_flight never grows and the depth high-water mark never
-    # falls, so the switch happens at most once per run.
-    in_flight = sum(
-        1 for pid in range(npk) if position[pid] != dests[pid]
-    )
-
-    queues: list[list[int]] | None = None
-    q_head: list[int] = []
-    q_tail: list[int] = []
-    q_len: list[int] = []
-    q_prev: list[int] = []
-    q_next: list[int] = []
-    # Worklist of nodes holding packets, kept in ascending order so the
-    # proposal sweep visits them exactly as the seed's range(n) scan did.
-    active: list[int] = []
-    in_active = bytearray(n)
-
-    if 4 * in_flight >= n:
-        # Crowded start: compact queues (allocating n lists only pays off
-        # when most of them will hold something).
-        queues = [[] for _ in range(n)]
-        for pid in range(npk):
-            node = position[pid]
-            if node != dests[pid]:
-                queues[node].append(pid)
-        initial_depth = max(map(len, queues), default=0)
-    else:
-        # Sparse start: build the indexed structures directly.
-        q_head = [-1] * n
-        q_tail = [-1] * n
-        q_len = [0] * n
-        q_prev = [-1] * npk
-        q_next = [-1] * npk
-        for pid in range(npk):
-            node = position[pid]
-            if node != dests[pid]:
-                tail = q_tail[node]
-                if tail == -1:
-                    q_head[node] = pid
-                else:
-                    q_next[tail] = pid
-                    q_prev[pid] = tail
-                q_tail[node] = pid
-                q_len[node] += 1
-        active = [node for node in range(n) if q_len[node]]
-        for node in active:
-            in_active[node] = 1
-        initial_depth = max(q_len, default=0)
-
-    # Per-packet caches: a deterministic router's next hop (and, on
-    # hypergraph networks, the net it rides) is a function of the packet's
-    # position, so compute it once per hop rather than once per step.
-    NO_HOP = -2  # router said "already home" — mirror seed's skip-forever
-    cached_next = [-1] * npk
-    cached_net = [-1] * npk
-    # On the vectorized path, packets whose cached hop must be (re)computed
-    # before the next propose sweep: every in-flight packet now, then each
-    # packet that moves without being delivered.
-    stale: list[int] = (
-        [pid for pid in range(npk) if position[pid] != dests[pid]]
-        if next_hop_array is not None
-        else []
-    )
-
-    stats = RoutingStats()
-    delivered = stats.delivered = npk - in_flight
-    stats.max_queue_depth = initial_depth
-    steps: list[dict[int, int]] = []
-    blocked = 0  # stats.blocked_moves, kept in a local off the hot path
-    # Host timing is opt-in: the two clock reads and the append cost real
-    # time per step (visible at small N), so untimed runs skip them.
-    per_step_seconds = stats.per_step_seconds if timing else None
-
-    while in_flight:
-        t0 = perf_counter() if per_step_seconds is not None else 0.0
-        if stats.steps >= max_steps:
-            raise ScheduleError(
-                f"{in_flight} packets undelivered after {max_steps} steps"
-            )
-        if stale:
-            if len(stale) >= _VECTOR_REFILL_MIN:
-                hops = next_hop_array(
-                    [position[pid] for pid in stale],
-                    [dests[pid] for pid in stale],
-                ).tolist()
-                for pid, hop in zip(stale, hops):
-                    cached_next[pid] = hop
-            else:
-                # Below the crossover, NumPy's fixed per-call cost loses to
-                # scalar routing (the tail of a run is many sparse steps).
-                for pid in stale:
-                    hop = next_hop(position[pid], dests[pid])
-                    cached_next[pid] = NO_HOP if hop is None else hop
-            stale = []
-        if queues is not None and (
-            4 * in_flight < n or stats.max_queue_depth > _COMPACT_MAX_DEPTH
-        ):
-            # One-way switch: rebuild the compact queues as linked lists
-            # (FIFO order preserved) and record which nodes hold packets.
-            q_head = [-1] * n
-            q_tail = [-1] * n
-            q_len = [0] * n
-            q_prev = [-1] * npk
-            q_next = [-1] * npk
-            for node in range(n):
-                q = queues[node]
-                if not q:
-                    continue
-                active.append(node)
-                in_active[node] = 1
-                prev = -1
-                for pid in q:
-                    if prev == -1:
-                        q_head[node] = pid
-                    else:
-                        q_next[prev] = pid
-                        q_prev[pid] = prev
-                    prev = pid
-                q_tail[node] = prev
-                q_len[node] = len(q)
-            queues = None
-        moves: dict[int, int] = {}
-        # The commit below applies `granted`, an explicit list in grant
-        # (= priority) order, never `moves.items()`: the step record's dict
-        # iteration order must be a *consequence* of arbitration order, not
-        # an input to the committed state — a backend that built the dict
-        # differently would otherwise silently change queue contents.
-        granted: list[tuple[int, int]] = []
-        # Channels claimed this step, encoded as ints for cheap set probes:
-        # directed link (node, nxt) -> node * n + nxt; net port pairs
-        # (net, node) -> net * n + node (separate inject/deliver sets).
-        used_links: set[int] = set()
-        used_inject: set[int] = set()
-        used_deliver: set[int] = set()
-
-        # Propose in deterministic order: node index, then FIFO position.
-        # Two sweeps with identical arbitration bodies — the compact phase
-        # iterates each node's list, the indexed phase walks linked queues.
-        if queues is not None:
-            for node in range(n):
-                for pid in queues[node]:
-                    nxt = cached_next[pid]
-                    if nxt == -1:
-                        hop = next_hop(node, dests[pid])
-                        if hop is None:
-                            nxt = cached_next[pid] = NO_HOP
-                        else:
-                            nxt = cached_next[pid] = hop
-                            if hypergraph:
-                                net = shared_net(node, hop)
-                                if net is None:
-                                    raise ScheduleError(
-                                        f"router proposed non-net hop "
-                                        f"{node} -> {hop}"
-                                    )
-                                cached_net[pid] = net
-                    if nxt == NO_HOP:
-                        continue
-                    if hypergraph:
-                        inject = cached_net[pid] * n + node
-                        deliver = cached_net[pid] * n + nxt
-                        if inject in used_inject or deliver in used_deliver:
-                            blocked += 1
-                            if fifo:
-                                break  # head of line holds the queue
-                            continue
-                        used_inject.add(inject)
-                        used_deliver.add(deliver)
-                    else:
-                        link = node * n + nxt
-                        if link in used_links:
-                            blocked += 1
-                            if fifo:
-                                break
-                            continue
-                        used_links.add(link)
-                    moves[pid] = nxt
-                    granted.append((pid, nxt))
-        else:
-            for node in active:
-                pid = q_head[node]
-                while pid != -1:
-                    nxt = cached_next[pid]
-                    if nxt == -1:
-                        hop = next_hop(node, dests[pid])
-                        if hop is None:
-                            nxt = cached_next[pid] = NO_HOP
-                        else:
-                            nxt = cached_next[pid] = hop
-                            if hypergraph:
-                                net = shared_net(node, hop)
-                                if net is None:
-                                    raise ScheduleError(
-                                        f"router proposed non-net hop "
-                                        f"{node} -> {hop}"
-                                    )
-                                cached_net[pid] = net
-                    if nxt == NO_HOP:
-                        pid = q_next[pid]
-                        continue
-                    if hypergraph:
-                        inject = cached_net[pid] * n + node
-                        deliver = cached_net[pid] * n + nxt
-                        if inject in used_inject or deliver in used_deliver:
-                            blocked += 1
-                            if fifo:
-                                break  # head of line holds the queue
-                            pid = q_next[pid]
-                            continue
-                        used_inject.add(inject)
-                        used_deliver.add(deliver)
-                    else:
-                        link = node * n + nxt
-                        if link in used_links:
-                            blocked += 1
-                            if fifo:
-                                break
-                            pid = q_next[pid]
-                            continue
-                        used_links.add(link)
-                    moves[pid] = nxt
-                    granted.append((pid, nxt))
-                    pid = q_next[pid]
-
-        if not moves:
-            raise ScheduleError(
-                f"deadlock: {in_flight} packets queued but none can move"
-            )
-
-        # Apply the granted moves.
-        grew: list[int] = []
-        max_depth = stats.max_queue_depth
-        if queues is not None:
-            for pid, nxt in granted:
-                queues[position[pid]].remove(pid)
-                position[pid] = nxt
-                if nxt == dests[pid]:
-                    # Delivered: its stale cache entry is never read again.
-                    delivered += 1
-                    in_flight -= 1
-                else:
-                    if next_hop_array is not None:
-                        stale.append(pid)  # batch refill overwrites it
-                    else:
-                        cached_next[pid] = -1
-                    queues[nxt].append(pid)
-                    grew.append(nxt)
-            # Only queues that received a packet can set a depth record.
-            for node in grew:
-                if len(queues[node]) > max_depth:
-                    max_depth = len(queues[node])
-        else:
-            newly_active: list[int] = []
-            for pid, nxt in granted:
-                node = position[pid]
-                prv, fol = q_prev[pid], q_next[pid]
-                if prv == -1 and fol == -1:
-                    # Singleton queue (the common case under light load):
-                    # the packet's own links are already -1.
-                    q_head[node] = -1
-                    q_tail[node] = -1
-                else:
-                    if prv == -1:
-                        q_head[node] = fol
-                    else:
-                        q_next[prv] = fol
-                    if fol == -1:
-                        q_tail[node] = prv
-                    else:
-                        q_prev[fol] = prv
-                    q_prev[pid] = q_next[pid] = -1
-                q_len[node] -= 1
-
-                position[pid] = nxt
-                if nxt == dests[pid]:
-                    # Delivered: its stale cache entry is never read again.
-                    delivered += 1
-                    in_flight -= 1
-                else:
-                    if next_hop_array is not None:
-                        stale.append(pid)  # batch refill overwrites it
-                    else:
-                        cached_next[pid] = -1
-                    tail = q_tail[nxt]
-                    if tail == -1:
-                        q_head[nxt] = pid
-                    else:
-                        q_next[tail] = pid
-                        q_prev[pid] = tail
-                    q_tail[nxt] = pid
-                    q_len[nxt] += 1
-                    grew.append(nxt)
-                    if not in_active[nxt]:
-                        in_active[nxt] = 1
-                        newly_active.append(nxt)
-
-            # Refresh the worklist: drop drained nodes, merge new arrivals.
-            still_active = []
-            for node in active:
-                if q_len[node]:
-                    still_active.append(node)
-                else:
-                    in_active[node] = 0
-            if newly_active:
-                newly_active.sort()
-                still_active += newly_active
-                still_active.sort()  # two sorted runs: Timsort merge, O(len)
-            active = still_active
-            for node in grew:
-                if q_len[node] > max_depth:
-                    max_depth = q_len[node]
-
-        steps.append(moves)
-        stats.steps += 1
-        stats.total_hops += len(moves)
-        stats.per_step_moves.append(len(moves))
-        stats.blocked_moves = blocked
-        stats.delivered = delivered
-        stats.max_queue_depth = max_depth
-        if per_step_seconds is not None:
-            per_step_seconds.append(perf_counter() - t0)
-        if on_step is not None:
-            on_step(stats.steps - 1, moves, stats)
-
-    return steps, stats
-
-
 def _resolve_plan_cache(
     cache,
     on_step: StepCallback | None,
@@ -617,36 +223,19 @@ def _route_or_replay(
     cache,
     fault_model: FaultModel | None = None,
     on_fault: FaultCallback | None = None,
-    backend: str = "indexed",
 ) -> tuple[list[dict[int, int]], RoutingStats]:
-    """Cache-aware front of the routing cores: replay a recorded plan on a
+    """Cache-aware front of the step loop: replay a recorded plan on a
     hit, route live (and record) on a miss.
 
-    ``backend`` selects the arbitration core (see
-    :mod:`repro.sim.backends`); it is resolved *before* the cache is
-    consulted so unknown names fail fast instead of being masked by a hit.
-    It is deliberately **not** part of the plan key — all backends are
-    bit-identical by contract, so a plan recorded by one replays for all.
-
-    An *enabled* fault model routes through the backend's **degraded**
-    core (:func:`~repro.sim.backends.resolve_degraded_backend`) — the
-    indexed or the structure-of-arrays degraded loop, honoring
-    ``backend=`` exactly as fault-free runs do — and folds its fingerprint
-    into the plan key: the faulted and fault-free variants of one problem
-    are distinct cache entries by construction.  A disabled model is
-    treated exactly as no model at all.
+    An *enabled* fault model folds its fingerprint into the plan key: the
+    faulted and fault-free variants of one problem are distinct cache
+    entries by construction.  A disabled model is treated exactly as no
+    model at all.  An unknown arbitration policy fails before the cache is
+    consulted, so a hit cannot mask it.
     """
     if fault_model is not None and not fault_model.enabled:
         fault_model = None  # attached-but-empty: contractual no-op
-    if arbitration not in ARBITRATION_POLICIES:
-        raise ValueError(
-            f"unknown arbitration policy {arbitration!r}; "
-            f"expected one of {ARBITRATION_POLICIES}"
-        )
-    if fault_model is not None:
-        route_core = resolve_degraded_backend(backend)
-    else:
-        route_core = resolve_backend(backend)
+    check_arbitration(arbitration)
     cache_obj = _resolve_plan_cache(
         cache, on_step, timing,
         fault_hook=fault_model is not None and on_fault is not None,
@@ -662,30 +251,18 @@ def _route_or_replay(
             plan = cache_obj.get(key)
             if plan is not None:
                 return plan.replay_steps(), plan.replay_stats()
-    if fault_model is not None:
-        steps, stats = route_core(
-            topology,
-            sources,
-            dests,
-            router,
-            max_steps,
-            fault_model,
-            arbitration=arbitration,
-            on_step=on_step,
-            on_fault=on_fault,
-            timing=timing,
-        )
-    else:
-        steps, stats = route_core(
-            topology,
-            sources,
-            dests,
-            router,
-            max_steps,
-            arbitration=arbitration,
-            on_step=on_step,
-            timing=timing,
-        )
+    steps, stats = route_core(
+        topology,
+        sources,
+        dests,
+        router,
+        max_steps,
+        fault_model,
+        arbitration=arbitration,
+        on_step=on_step,
+        on_fault=on_fault,
+        timing=timing,
+    )
     if key is not None:
         cache_obj.put(key, _plancache.CachedPlan.from_run(steps, stats))
     return steps, stats
@@ -698,7 +275,6 @@ def route_permutation(
     *,
     max_steps: int | None = None,
     arbitration: str = "overtaking",
-    backend: str = "indexed",
     on_step: StepCallback | None = None,
     timing: bool = False,
     cache=None,
@@ -716,23 +292,13 @@ def route_permutation(
     router:
         Routing discipline; defaults to the topology's canonical router.
         Must be deterministic — a pure function of ``(current, dest)`` —
-        because the engine caches each packet's next hop per position.
+        because recorded plans are replayed from the plan cache.
     max_steps:
         Safety bound; defaults to ``10 * diameter + 10 * N`` which no
         deterministic minimal-path discipline on these topologies exceeds.
     arbitration:
         Channel-arbitration policy, ``"overtaking"`` (seed-identical
         default) or ``"fifo"`` — see the module docstring.
-    backend:
-        Arbitration core — ``"indexed"`` (default), ``"numpy"`` (the
-        structure-of-arrays core), ``"numba"`` or ``"cupy"`` (optional;
-        error if the package — and, for cupy, a CUDA device — is
-        missing).  All backends are bit-identical by contract (schedule,
-        stats, and plan-cache digests alike), so this only changes how
-        fast the answer is computed; see :mod:`repro.sim.backends`.
-        Fault-injected runs honor ``backend=`` too, through each
-        backend's degraded core (``"cupy"`` is fault-free only and raises
-        a ValueError when combined with ``fault_model=``).
     on_step:
         Optional :data:`StepCallback` invoked after every committed step.
     timing:
@@ -754,7 +320,7 @@ def route_permutation(
         longer realizes ``perm`` — ``schedule.validate()`` will then raise,
         by design.
     on_fault:
-        Optional :data:`~repro.sim.degraded.FaultCallback` observing every
+        Optional :data:`~repro.sim.core.FaultCallback` observing every
         retry and drop (only ever fired by an enabled fault model).
 
     Raises
@@ -787,7 +353,6 @@ def route_permutation(
         cache=cache,
         fault_model=fault_model,
         on_fault=on_fault,
-        backend=backend,
     )
     schedule = CommSchedule(
         topology=topology, logical=perm, steps=tuple(steps)
@@ -841,7 +406,6 @@ def route_demands(
     *,
     max_steps: int | None = None,
     arbitration: str = "overtaking",
-    backend: str = "indexed",
     on_step: StepCallback | None = None,
     timing: bool = False,
     cache=None,
@@ -857,7 +421,7 @@ def route_demands(
     as steps, exactly as the word model prescribes.
 
     The ``max_steps`` default scales with the relation's degree ``h``.
-    ``arbitration``, ``backend``, ``on_step``, ``timing``, ``cache``,
+    ``arbitration``, ``on_step``, ``timing``, ``cache``,
     ``fault_model`` and ``on_fault`` behave as in
     :func:`route_permutation`.
     """
@@ -893,7 +457,6 @@ def route_demands(
         cache=cache,
         fault_model=fault_model,
         on_fault=on_fault,
-        backend=backend,
     )
     return RoutedDemands(
         demands=tuple((int(s), int(d)) for s, d in demands),

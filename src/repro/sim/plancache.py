@@ -26,7 +26,7 @@ FFT engines compile the butterfly's communication offline and replay it:
 
 Equivalence is contractual: a cache hit reconstructs the **bit-identical**
 step dicts and :class:`~repro.sim.stats.RoutingStats` counters that a live
-``_route_core`` run would produce (``tests/sim/test_engine_equivalence.py``
+:func:`~repro.sim.core.route_core` run would produce (``tests/sim/test_engine_equivalence.py``
 and ``tests/sim/test_plancache.py`` enforce this).  Corrupted, truncated,
 or schema-stale disk blobs are treated as misses — the engine silently
 falls back to live routing, never to a wrong plan.
@@ -184,10 +184,7 @@ class PlanKey:
 
     Everything the engine's output depends on, nothing it does not: the
     packet payloads, host timing, and instrumentation hooks are all absent
-    by construction.  The engine *backend* is deliberately absent too:
-    every backend is bit-identical by contract (the equivalence and fuzz
-    suites enforce it), so a plan recorded under one backend replays for
-    all of them — same key, same digest, same blob bytes.
+    by construction.
     """
 
     topology: str

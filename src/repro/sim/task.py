@@ -129,9 +129,6 @@ def run_routing_task(params: dict) -> dict:
 
     Required ``params``: ``topology``, ``n``, ``workload``.  Optional:
     ``seed`` (default 99), ``arbitration`` (default ``"overtaking"``),
-    ``backend`` (default ``"indexed"`` — an engine backend name from
-    :data:`repro.sim.backends.ENGINE_BACKENDS`; echoed in the payload, and
-    bit-identical across choices by contract),
     ``max_steps`` (default the engine's own bound), ``trace`` — a
     directory path (or ``True`` for ``results/traces``) into which the run
     writes a JSONL observability trace — and ``plan_cache`` — a plan-cache
@@ -167,7 +164,6 @@ def run_routing_task(params: dict) -> dict:
     workload_name = params["workload"]
     seed = int(params.get("seed", 99))
     arbitration = params.get("arbitration", "overtaking")
-    backend = params.get("backend", "indexed")
     trace = params.get("trace")
     plan_cache = params.get("plan_cache")
 
@@ -206,7 +202,6 @@ def run_routing_task(params: dict) -> dict:
             list(zip(sources, dests)),
             max_steps=params.get("max_steps"),
             arbitration=arbitration,
-            backend=backend,
             on_step=probe,
             timing=probe is not None,  # traced runs opt into host timing
             cache=plan_cache if plan_cache else False,
@@ -268,7 +263,6 @@ def run_routing_task(params: dict) -> dict:
         "workload": workload_name,
         "seed": seed,
         "arbitration": arbitration,
-        "backend": backend,
         "packets": len(sources),
         "steps": stats.steps,
         "total_hops": stats.total_hops,

@@ -80,15 +80,12 @@ class TestBuiltins:
         from repro.campaign import builtin_campaign
 
         spec = builtin_campaign("engine-sweep")
-        # 3 topologies x 4 sizes x 3 workloads x 2 backends
-        assert len(spec) == 72
+        # 3 topologies x 4 sizes x 3 workloads
+        assert len(spec) == 36
         assert all(
             t.entry == "repro.sim.task:run_routing_task" for t in spec.tasks
         )
-        assert {t.params["backend"] for t in spec.tasks} == {
-            "indexed",
-            "numpy",
-        }
+        assert not any("backend" in t.params for t in spec.tasks)
 
     def test_unknown_builtin(self):
         from repro.campaign import builtin_campaign

@@ -76,6 +76,21 @@ class TestStructureCaching:
         other = Mesh2D(4)
         assert resolve_faults(model, topo) is not resolve_faults(model, other)
 
+    def test_resolve_memo_keeps_one_entry_per_topology(self):
+        """Regression: every fresh model resolved against a long-lived
+        topology used to stay memoized (megabytes each at large N) until
+        the topology died.  Only the most recent resolution is kept, and
+        re-resolving it still returns the identical object."""
+        from repro.faults.model import _RESOLVE_MEMO
+
+        topo = Mesh2D(4)
+        for seed in range(20):
+            resolve_faults(FaultModel(link_fail_fraction=0.2, seed=seed), topo)
+        entries = [e for e in _RESOLVE_MEMO.values() if e[0]() is topo]
+        assert len(entries) <= 1
+        model = FaultModel(link_fail_fraction=0.2, seed=99)
+        assert resolve_faults(model, topo) is resolve_faults(model, topo)
+
     def test_surviving_graph_cached_on_resolved_faults(self):
         topo = Mesh2D(4)
         resolved = resolve_faults(
@@ -92,19 +107,12 @@ class TestStructureCaching:
         topo = Mesh2D(4)
         model = FaultModel(link_fail_fraction=0.2, seed=5)
         demands = [(i, (i + 5) % 16) for i in range(16)]
-        for backend in ("indexed", "numpy"):
-            route_demands(
-                topo, demands, fault_model=model, backend=backend,
-                cache=False,
-            )
-            resolved = resolve_faults(model, topo)
-            graph = resolved.surviving_graph(topo)
-            route_demands(
-                topo, demands, fault_model=model, backend=backend,
-                cache=False,
-            )
-            assert resolve_faults(model, topo) is resolved
-            assert resolved.surviving_graph(topo) is graph
+        route_demands(topo, demands, fault_model=model, cache=False)
+        resolved = resolve_faults(model, topo)
+        graph = resolved.surviving_graph(topo)
+        route_demands(topo, demands, fault_model=model, cache=False)
+        assert resolve_faults(model, topo) is resolved
+        assert resolved.surviving_graph(topo) is graph
 
     def test_bfs_tables_grow_and_persist_across_calls(self):
         topo = Mesh2D(4)

@@ -1,32 +1,27 @@
 """Differential fuzz harness for the routing engine (``fuzz`` marker).
 
 Hypothesis generates random small machines (mesh / torus / hypercube /
-hypermesh), random demand sets, and arbitration policies, then checks the
-load-bearing equivalences end to end:
+hypermesh), random demand sets, arbitration policies, step budgets and
+fault configurations, then checks the load-bearing equivalences end to
+end:
 
-* the indexed production engine is **bit-identical** to the frozen seed
-  loop in :mod:`repro.sim._reference` (overtaking arbitration — the only
-  policy the reference implements);
-* every pluggable engine backend (``"numpy"``, and ``"numba"`` when the
-  optional package is present) is bit-identical to the indexed engine —
-  step dicts in the same insertion order, same stats — under both
-  arbitration policies, and the numpy core matches the seed reference
-  directly;
+* the scalar oracle (:func:`repro.sim._reference.route_oracle`) in its
+  fault-free overtaking mode is **bit-identical** to the frozen seed loop
+  :func:`repro.sim._reference.reference_route_core` — the anchor;
+* the engine (every entry point runs the one structure-of-arrays core) is
+  bit-identical to the oracle in all four modes, {fault-free, faulted} x
+  {overtaking, fifo}: step dicts in the same insertion order, same stats,
+  same ``on_fault`` event streams, the same :class:`ScheduleError` when a
+  drawn ``max_steps`` budget runs out, and the same
+  :class:`~repro.faults.UnroutableError` when faults partition the
+  machine;
 * a cached replay equals live routing, schedule and stats alike;
-* attaching a fault-free :class:`~repro.faults.FaultModel` is a no-op —
-  the engine must take its fault-free fast path and produce the identical
-  output, under either arbitration policy;
-* the **degraded backend axis**: for random *enabled* fault configs (link
-  kills, seeded drops + retries, degraded hypermesh nets) the SoA
-  ``"numpy"`` degraded core is bit-identical to the ``"indexed"`` degraded
-  loop — and when faults partition the machine, both raise the same
-  :class:`~repro.faults.UnroutableError`;
-* ``"fifo"`` arbitration (no reference to diff against) is at least
-  self-consistent: rerunning is deterministic and the schedule validates;
-* the **certification axis**: every fuzz-generated run — all backends,
-  faulted and fault-free — must pass :mod:`repro.bounds` certification.
-  A bound violation means either the engine beat physics or the bound is
-  unsound; both are fuzz failures, reported with a pickled repro case.
+* attaching a fault-free :class:`~repro.faults.FaultModel` is a no-op,
+  under either arbitration policy;
+* the **certification axis**: every fuzz-generated run — faulted and
+  fault-free — must pass :mod:`repro.bounds` certification.  A bound
+  violation means either the engine beat physics or the bound is unsound;
+  both are fuzz failures, reported with a pickled repro case.
 
 These are deselected from the default run by the ``-m 'not fuzz'`` in
 ``addopts`` (tier-1 stays fast); the CI fuzz job re-selects them with
@@ -37,7 +32,6 @@ from __future__ import annotations
 
 import pickle
 import tempfile
-from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
@@ -49,14 +43,17 @@ from repro.faults import FaultModel, UnroutableError
 from repro.networks import Hypercube, Hypermesh, Hypermesh2D, Mesh2D, Torus2D
 from repro.networks.base import ChannelModel
 from repro.sim import PlanCache, route_demands
-from repro.sim._reference import reference_route_core
+from repro.sim._reference import reference_route_core, route_oracle
 from repro.sim.routers import router_for
+from repro.sim.schedule import ScheduleError
 
 pytestmark = pytest.mark.fuzz
 
-#: Every backend resolvable here; numba rides along when installed so the
-#: best-effort CI leg fuzzes it with the same pinned profile.
-BACKENDS = ["indexed", "numpy"] + (["numba"] if find_spec("numba") else [])
+ARBITRATIONS = st.sampled_from(["overtaking", "fifo"])
+
+#: A step budget: ``None`` for the engine's default bound, or one small
+#: enough that most draws exhaust it and exercise the ``max_steps`` guard.
+BUDGETS = st.one_of(st.none(), st.integers(1, 6))
 
 TOPOLOGIES = {
     "mesh2": lambda: Mesh2D(2),
@@ -132,55 +129,84 @@ def _certified(topo, demands, routed, model=None):
         pytest.fail(f"bound violation: {exc} (repro case pickled to {path})")
 
 
+def _split(demands):
+    return [s for s, _ in demands], [d for _, d in demands]
+
+
+def _outcome(run):
+    """``run()``'s (step dicts in insertion order, stats), or the type and
+    message of the routing error it raised."""
+    try:
+        steps, stats = run()
+    except (ScheduleError, UnroutableError) as exc:
+        return type(exc).__name__, str(exc)
+    return [list(s.items()) for s in steps], stats
+
+
+def _engine(topo, demands, arbitration, budget, model=None, on_fault=None):
+    def run():
+        routed = route_demands(
+            topo, demands, arbitration=arbitration, max_steps=budget,
+            fault_model=model, on_fault=on_fault, cache=False,
+        )
+        return routed.steps, routed.stats
+
+    return run
+
+
+def _oracle(topo, demands, arbitration, budget, model=None, on_fault=None):
+    if budget is None:  # the engine's default bound for this run
+        budget = 100_000
+
+    def run():
+        return route_oracle(
+            topo, *_split(demands), router_for(topo), budget, model,
+            arbitration=arbitration, on_fault=on_fault,
+        )
+
+    return run
+
+
 @given(topology_and_demands())
-def test_indexed_engine_matches_reference(case):
+def test_engine_matches_seed_loop(case):
     topo, demands = case
     routed = route_demands(topo, demands)
-    sources = [s for s, _ in demands]
-    dests = [d for _, d in demands]
     ref_steps, ref_stats = reference_route_core(
-        topo, sources, dests, router_for(topo), max_steps=10_000
+        topo, *_split(demands), router_for(topo), max_steps=10_000
     )
     assert list(routed.steps) == ref_steps
     assert routed.stats == ref_stats
-    _certified(topo, demands, routed)
-
-
-@given(
-    topology_and_demands(),
-    st.sampled_from(["overtaking", "fifo"]),
-    st.sampled_from(BACKENDS),
-)
-def test_backends_bit_identical_to_indexed(case, arbitration, backend):
-    """The differential backend axis: any (machine, demands, arbitration,
-    backend) draw must reproduce the indexed engine exactly — including
-    each step dict's insertion order, which the plan cache serializes."""
-    topo, demands = case
-    baseline = route_demands(topo, demands, arbitration=arbitration)
-    routed = route_demands(
-        topo, demands, arbitration=arbitration, backend=backend
-    )
-    assert [list(s.items()) for s in routed.steps] == [
-        list(s.items()) for s in baseline.steps
-    ]
-    assert routed.stats == baseline.stats
     _certified(topo, demands, routed)
 
 
 @given(topology_and_demands())
-def test_numpy_backend_matches_reference(case):
+def test_oracle_matches_seed_loop(case):
+    """``route_oracle(fault_model=None, "overtaking")`` is the seed loop."""
     topo, demands = case
-    routed = route_demands(topo, demands, backend="numpy")
-    sources = [s for s, _ in demands]
-    dests = [d for _, d in demands]
-    ref_steps, ref_stats = reference_route_core(
-        topo, sources, dests, router_for(topo), max_steps=10_000
-    )
-    assert list(routed.steps) == ref_steps
-    assert routed.stats == ref_stats
+    args = (topo, *_split(demands), router_for(topo), 10_000)
+    steps, stats = route_oracle(*args, arbitration="overtaking")
+    ref_steps, ref_stats = reference_route_core(*args)
+    assert [list(s.items()) for s in steps] == [
+        list(s.items()) for s in ref_steps
+    ]
+    assert stats == ref_stats
 
 
-@given(topology_and_demands(), st.sampled_from(["overtaking", "fifo"]))
+@given(topology_and_demands(), ARBITRATIONS, BUDGETS)
+def test_engine_matches_oracle(case, arbitration, budget):
+    """Fault-free, both policies: any (machine, demands, arbitration,
+    budget) draw gives the oracle's schedule — each step dict's insertion
+    order included, which the plan cache serializes — or its error."""
+    topo, demands = case
+    got = _outcome(_engine(topo, demands, arbitration, budget))
+    assert got == _outcome(_oracle(topo, demands, arbitration, budget))
+    if budget is None:
+        _certified(topo, demands, route_demands(
+            topo, demands, arbitration=arbitration, cache=False
+        ))
+
+
+@given(topology_and_demands(), ARBITRATIONS)
 def test_cached_replay_equals_live_routing(case, arbitration):
     topo, demands = case
     # A private instance, not memory_cache(): that one is a process-wide
@@ -193,7 +219,7 @@ def test_cached_replay_equals_live_routing(case, arbitration):
     assert _as_comparable(replay) == _as_comparable(live)
 
 
-@given(topology_and_demands(), st.sampled_from(["overtaking", "fifo"]))
+@given(topology_and_demands(), ARBITRATIONS)
 def test_disabled_fault_model_is_a_noop(case, arbitration):
     topo, demands = case
     plain = route_demands(topo, demands, arbitration=arbitration)
@@ -203,17 +229,14 @@ def test_disabled_fault_model_is_a_noop(case, arbitration):
     assert _as_comparable(with_model) == _as_comparable(plain)
 
 
-#: Degraded-capable backends to diff against the indexed degraded loop.
-DEGRADED_BACKENDS = ["numpy"] + (["numba"] if find_spec("numba") else [])
-
-
 @st.composite
 def topology_demands_and_faults(draw):
     """A random machine + demands + an *enabled* fault configuration.
 
     Hypergraph machines draw degraded/hard-down nets (their links are
     nets); point-to-point machines draw a link-kill fraction.  Both mix in
-    seeded drop draws so the retry/drop accounting is fuzzed too.
+    seeded drop draws so the retry/drop accounting is fuzzed too, and one
+    draw in four fails a node, so unroutable demand sets are fuzzed as well.
     """
     topo, demands = draw(topology_and_demands())
     hyper = topo.channel_model is ChannelModel.HYPERGRAPH_NET
@@ -223,6 +246,8 @@ def topology_demands_and_faults(draw):
         "retry_limit": draw(st.integers(0, 4)),
         "seed": draw(st.integers(0, 2**16)),
     }
+    if draw(st.integers(0, 3)) == 0:
+        kwargs["node_failures"] = (draw(st.integers(0, topo.num_nodes - 1)),)
     if hyper:
         num_nets = topo.num_nets()
         kwargs["degraded_nets"] = tuple(
@@ -242,59 +267,25 @@ def topology_demands_and_faults(draw):
     return topo, demands, FaultModel(**kwargs)
 
 
-@given(
-    topology_demands_and_faults(),
-    st.sampled_from(["overtaking", "fifo"]),
-    st.sampled_from(DEGRADED_BACKENDS),
-)
-def test_degraded_backends_bit_identical_to_indexed(case, arbitration, backend):
-    """The degraded differential axis: any (machine, demands, faults,
-    arbitration, backend) draw must reproduce the indexed degraded loop
-    exactly — step dicts in insertion order, stats including retried and
-    dropped, and the same seeded drop-draw sequence.  Partitioning faults
-    must raise the same :class:`UnroutableError` from every backend."""
+@given(topology_demands_and_faults(), ARBITRATIONS, BUDGETS)
+def test_faulted_engine_matches_oracle(case, arbitration, budget):
+    """Faulted, both policies: any (machine, demands, faults, arbitration,
+    budget) draw gives the oracle's schedule, stats including retried and
+    dropped, and ``on_fault`` event stream — the same seeded drop draws —
+    or the oracle's ``UnroutableError`` / ``ScheduleError`` message."""
     topo, demands, model = case
-    try:
-        baseline = route_demands(
+    got_events, want_events = [], []
+    got = _outcome(_engine(topo, demands, arbitration, budget, model,
+                           lambda *a: got_events.append(a)))
+    want = _outcome(_oracle(topo, demands, arbitration, budget, model,
+                            lambda *a: want_events.append(a)))
+    assert got == want
+    assert got_events == want_events
+    if budget is None and not isinstance(got[0], str):
+        _certified(topo, demands, route_demands(
             topo, demands, arbitration=arbitration, fault_model=model,
             cache=False,
-        )
-    except UnroutableError as exc:
-        with pytest.raises(UnroutableError) as got:
-            route_demands(
-                topo, demands, arbitration=arbitration, fault_model=model,
-                backend=backend, cache=False,
-            )
-        assert str(got.value) == str(exc)
-        return
-    routed = route_demands(
-        topo, demands, arbitration=arbitration, fault_model=model,
-        backend=backend, cache=False,
-    )
-    assert [list(s.items()) for s in routed.steps] == [
-        list(s.items()) for s in baseline.steps
-    ]
-    assert routed.stats == baseline.stats
-    _certified(topo, demands, routed, model)
-
-
-@given(
-    topology_and_demands(),
-    st.sampled_from(["overtaking", "fifo"]),
-    st.sampled_from(DEGRADED_BACKENDS),
-)
-def test_disabled_fault_model_is_a_noop_per_backend(case, arbitration, backend):
-    """A disabled model must be a no-op on every backend — the run takes
-    the backend's fault-free fast path, not a degraded core."""
-    topo, demands = case
-    plain = route_demands(
-        topo, demands, arbitration=arbitration, backend=backend, cache=False
-    )
-    with_model = route_demands(
-        topo, demands, arbitration=arbitration, backend=backend,
-        fault_model=FaultModel(seed=7), cache=False,
-    )
-    assert _as_comparable(with_model) == _as_comparable(plain)
+        ), model)
 
 
 @given(topology_and_demands())

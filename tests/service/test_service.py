@@ -83,6 +83,13 @@ class TestValidation:
         assert "torus9" in fields["topology"]
         assert fields["extra"] == "unknown field"
 
+    def test_backend_field_is_unknown(self, client):
+        """There is one engine core: a body that still names a backend is
+        refused like any other unknown field."""
+        response = client.route({**CHEAP_JOB, "backend": "numpy"})
+        assert response.status == 400
+        assert response.body["fields"] == {"backend": "unknown field"}
+
     def test_workload_and_demands_are_exclusive(self, client):
         response = client.route({**CHEAP_JOB, "demands": [[0, 1]]})
         assert response.status == 400

@@ -1,19 +1,20 @@
-"""The backend seam, enforced: every engine backend is bit-identical.
+"""The engine core against the scalar oracle, enforced.
 
-``repro.sim.backends`` promises that the ``"numpy"`` (and optional
-``"numba"``) cores produce byte-for-byte the same observable output as the
-indexed engine and the frozen seed loop — same step dicts *in the same
-insertion order*, same :class:`~repro.sim.stats.RoutingStats`, same
-plan-cache digests and blob payloads.  These tests are that contract; the
-differential fuzz harness in ``tests/properties/test_engine_fuzz.py``
-extends them with random draws.
+:func:`repro.sim.core.route_core` — the structure-of-arrays NumPy core both
+entry points run, labelled ``numpy`` in test ids — promises byte-for-byte
+the observable output of the scalar oracle
+:func:`repro.sim._reference.route_oracle` in all four modes, {fault-free,
+faulted} x {overtaking, fifo}: same step dicts *in the same insertion
+order*, same :class:`~repro.sim.stats.RoutingStats`, same ``on_fault``
+event streams, same error messages, and therefore the same plan-cache
+blobs.  These tests are that contract; the differential fuzz harness in
+``tests/properties/test_engine_fuzz.py`` extends them with random draws.
 """
 
-import importlib.util
-
+import numpy as np
 import pytest
 
-from repro.faults import FaultModel
+from repro.faults import FaultModel, UnroutableError
 from repro.networks import (
     Hypercube,
     Hypermesh,
@@ -24,25 +25,12 @@ from repro.networks import (
     Torus2D,
 )
 from repro.routing import Permutation, bit_reversal
-from repro.sim import (
-    ENGINE_BACKENDS,
-    PlanCache,
-    available_backends,
-    degraded_backends,
-    numpy_degraded_core,
-    numpy_route_core,
-    resolve_backend,
-    resolve_degraded_backend,
-    route_demands,
-    route_permutation,
-)
-from repro.sim._reference import reference_route_core
-from repro.sim.degraded import route_core_degraded
-from repro.sim.engine import _route_core
+from repro.sim import PlanCache, plan_key, route_demands, route_permutation
+from repro.sim._reference import reference_route_core, route_oracle
+from repro.sim.core import route_core
+from repro.sim.plancache import CachedPlan
 from repro.sim.routers import router_for
 from repro.sim.schedule import ScheduleError
-
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 TOPOLOGIES = [
     Mesh2D(4),
@@ -55,13 +43,16 @@ TOPOLOGIES = [
 ]
 IDS = [f"{type(t).__name__}-{t.num_nodes}" for t in TOPOLOGIES]
 
-BACKENDS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
+#: Test-id label of the engine core under test.
+CORE_ID = "numpy"
+
+ARBITRATIONS = ["overtaking", "fifo"]
 
 
-def run_core(core, topology, sources, dests, **kwargs):
+def run_core(core, topology, sources, dests, *args, **kwargs):
     router = router_for(topology)
     max_steps = 100 * (10 * topology.diameter + 10 * topology.num_nodes)
-    return core(topology, sources, dests, router, max_steps, **kwargs)
+    return core(topology, sources, dests, router, max_steps, *args, **kwargs)
 
 
 def assert_bit_identical(got, want):
@@ -75,81 +66,68 @@ def assert_bit_identical(got, want):
     assert got_stats == want_stats
 
 
-class TestRegistry:
-    def test_indexed_resolves_to_engine_core(self):
-        assert resolve_backend("indexed") is _route_core
+def model_for(topology, seed=3):
+    """An enabled fault model the topology can carry: degraded nets and
+    drops on hypergraph machines, link kills and drops elsewhere."""
+    if isinstance(topology, (Hypermesh2D, Hypermesh)):
+        return FaultModel(degraded_nets=(0,), drop_prob=0.2, retry_limit=3,
+                          seed=seed)
+    return FaultModel(link_fail_fraction=0.1, drop_prob=0.2, retry_limit=3,
+                      seed=seed)
 
-    def test_numpy_resolves(self):
-        assert resolve_backend("numpy") is numpy_route_core
 
-    def test_unknown_backend_is_a_value_error(self):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            resolve_backend("fortran")
-
-    def test_registry_and_availability(self):
-        assert list(ENGINE_BACKENDS) == ["indexed", "numpy", "numba", "cupy"]
-        avail = available_backends()
-        assert avail[:2] == ("indexed", "numpy")
-        assert ("numba" in avail) == HAVE_NUMBA
-        # This host has no CUDA device in CI; either way the registry entry
-        # exists and availability gates it honestly.
-        from repro.sim.backends import cupy_available
-
-        assert ("cupy" in avail) == cupy_available()
-
-    def test_degraded_capability_flags(self):
-        assert degraded_backends() == ("indexed", "numpy", "numba")
-        assert not ENGINE_BACKENDS["cupy"].degraded
-        for name in degraded_backends():
-            assert ENGINE_BACKENDS[name].degraded
-
-    def test_degraded_resolution(self):
-        assert resolve_degraded_backend("indexed") is route_core_degraded
-        assert resolve_degraded_backend("numpy") is numpy_degraded_core
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            resolve_degraded_backend("fortran")
-        with pytest.raises(
-            ValueError, match="does not support fault_model= runs"
-        ):
-            resolve_degraded_backend("cupy")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
-    def test_missing_numba_is_a_clear_error(self):
-        with pytest.raises(ValueError, match="numba"):
-            resolve_backend("numba")
-        with pytest.raises(ValueError, match="numba"):
-            route_permutation(Mesh2D(2), bit_reversal(4), backend="numba")
-
+class TestErrorMessages:
     def test_bad_arbitration_message_identical(self):
         topo = Mesh2D(2)
         router = router_for(topo)
         with pytest.raises(ValueError, match="unknown arbitration") as a:
-            _route_core(topo, [0], [3], router, 10, arbitration="magic")
+            route_core(topo, [0], [3], router, 10, arbitration="magic")
         with pytest.raises(ValueError, match="unknown arbitration") as b:
-            numpy_route_core(topo, [0], [3], router, 10, arbitration="magic")
+            route_oracle(topo, [0], [3], router, 10, arbitration="magic")
+        assert str(a.value) == str(b.value)
+
+    def test_unroutable_message_identical(self):
+        topo = Mesh2D(4)
+        model = FaultModel(node_failures={5}, seed=1)
+        args = (topo, [0, 1], [15, 5], router_for(topo), 100, model)
+        with pytest.raises(UnroutableError, match="failed node 5") as a:
+            route_core(*args)
+        with pytest.raises(UnroutableError) as b:
+            route_oracle(*args)
+        assert str(a.value) == str(b.value)
+
+    def test_non_net_hop_message_identical(self):
+        class Teleport:
+            def next_hop(self, current, dest):
+                return dest
+
+        topo = Hypermesh2D(4)
+        args = (topo, [0], [15], Teleport(), 10)
+        with pytest.raises(ScheduleError, match="non-net hop 0 -> 15") as a:
+            route_core(*args)
+        with pytest.raises(ScheduleError) as b:
+            route_oracle(*args)
         assert str(a.value) == str(b.value)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("core", [route_core], ids=[CORE_ID])
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=IDS)
 class TestCoreEquivalence:
-    def test_permutations_both_arbitrations(self, topology, backend, rng):
-        core = resolve_backend(backend)
+    def test_permutations_both_arbitrations(self, topology, core, rng):
         n = topology.num_nodes
         for _ in range(2):
             perm = Permutation.random(n, rng)
             src, dst = list(range(n)), perm.destinations.tolist()
-            for arbitration in ("overtaking", "fifo"):
+            for arbitration in ARBITRATIONS:
                 got = run_core(
                     core, topology, src, dst, arbitration=arbitration
                 )
                 want = run_core(
-                    _route_core, topology, src, dst, arbitration=arbitration
+                    route_oracle, topology, src, dst, arbitration=arbitration
                 )
                 assert_bit_identical(got, want)
 
-    def test_h_relations_and_hotspot(self, topology, backend, rng):
-        core = resolve_backend(backend)
+    def test_h_relations_and_hotspot(self, topology, core, rng):
         n = topology.num_nodes
         cases = [
             (rng.integers(0, n, 3 * n).tolist(), rng.integers(0, n, 3 * n).tolist()),
@@ -157,17 +135,16 @@ class TestCoreEquivalence:
             ([0, 0, 1], [0, 1, 1]),  # already-home packets and overlap
         ]
         for src, dst in cases:
-            for arbitration in ("overtaking", "fifo"):
+            for arbitration in ARBITRATIONS:
                 got = run_core(
                     core, topology, src, dst, arbitration=arbitration
                 )
                 want = run_core(
-                    _route_core, topology, src, dst, arbitration=arbitration
+                    route_oracle, topology, src, dst, arbitration=arbitration
                 )
                 assert_bit_identical(got, want)
 
-    def test_matches_seed_reference(self, topology, backend, rng):
-        core = resolve_backend(backend)
+    def test_matches_seed_reference(self, topology, core, rng):
         n = topology.num_nodes
         perm = Permutation.random(n, rng)
         src, dst = list(range(n)), perm.destinations.tolist()
@@ -177,167 +154,90 @@ class TestCoreEquivalence:
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("core", [route_core], ids=[CORE_ID])
 class TestBackendSemantics:
-    def test_max_steps_guard_identical(self, backend):
-        core = resolve_backend(backend)
+    """The engine core's run-time semantics, checked against the oracle."""
+
+    def test_max_steps_guard_identical(self, core):
         topo = Mesh2D(4)
         perm = bit_reversal(16)
-        args = (topo, list(range(16)), perm.destinations.tolist(),
-                router_for(topo), 2)
-        with pytest.raises(ScheduleError, match="undelivered") as got:
-            core(*args)
-        with pytest.raises(ScheduleError, match="undelivered") as want:
-            _route_core(*args)
-        assert str(got.value) == str(want.value)
+        for arbitration in ARBITRATIONS:
+            for extra in ((), (FaultModel(drop_prob=0.2, seed=3),)):
+                args = (topo, list(range(16)), perm.destinations.tolist(),
+                        router_for(topo), 2, *extra)
+                with pytest.raises(ScheduleError, match="undelivered") as got:
+                    core(*args, arbitration=arbitration)
+                with pytest.raises(ScheduleError, match="undelivered") as want:
+                    route_oracle(*args, arbitration=arbitration)
+                assert str(got.value) == str(want.value)
 
-    def test_on_step_and_timing(self, backend):
+    def test_on_step_and_timing(self, core):
         topo = Mesh2D(4)
         perm = bit_reversal(16)
-        seen = []
+        for model in (None, FaultModel(drop_prob=0.3, retry_limit=2, seed=5)):
+            seen = []
 
-        def probe(step, moves, stats):
-            seen.append((step, dict(moves), stats.steps))
+            def probe(step, moves, stats):
+                seen.append((step, dict(moves), stats.steps))
 
-        routed = route_permutation(
-            topo, perm, backend=backend, on_step=probe, timing=True,
-            cache=False,
-        )
-        assert len(seen) == routed.stats.steps
-        assert [s for s, _, _ in seen] == list(range(routed.stats.steps))
-        assert [m for _, m, _ in seen] == [dict(s) for s in routed.schedule.steps]
-        assert len(routed.stats.per_step_seconds) == routed.stats.steps
+            routed = route_permutation(
+                topo, perm, on_step=probe, timing=True, cache=False,
+                fault_model=model,
+            )
+            assert len(seen) == routed.stats.steps
+            assert [s for s, _, _ in seen] == list(range(routed.stats.steps))
+            assert [m for _, m, _ in seen] == [
+                dict(s) for s in routed.schedule.steps
+            ]
+            assert len(routed.stats.per_step_seconds) == routed.stats.steps
 
-    def test_entry_points_accept_backend(self, backend):
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_entry_points_match_the_oracle(self, core, faulted):
         topo = Hypermesh2D(4)
         perm = bit_reversal(16)
-        via_perm = route_permutation(topo, perm, backend=backend, cache=False)
-        via_idx = route_permutation(topo, perm, cache=False)
-        assert via_perm.schedule.steps == via_idx.schedule.steps
-        assert via_perm.stats == via_idx.stats
+        model = model_for(topo) if faulted else None
+        want = run_core(
+            route_oracle, topo, list(range(16)), perm.destinations.tolist(),
+            model,
+        )
+        via_perm = route_permutation(topo, perm, fault_model=model,
+                                     cache=False)
+        assert_bit_identical(
+            (list(via_perm.schedule.steps), via_perm.stats), want
+        )
         demands = [(i, int(perm.destinations[i])) for i in range(16)]
-        via_dem = route_demands(topo, demands, backend=backend, cache=False)
-        assert list(via_dem.steps) == list(via_idx.schedule.steps)
-
-    def test_fault_runs_honor_backend(self, backend, monkeypatch):
-        """Regression: ``backend=`` used to be ignored for fault runs (they
-        were pinned to the indexed degraded loop).  Now an enabled fault
-        model dispatches to the selected backend's degraded core — and that
-        core is *actually executed*, not silently substituted."""
-        import repro.sim.engine as engine_mod
-
-        topo = Mesh2D(4)
-        perm = bit_reversal(16)
-        model = FaultModel(seed=3, drop_prob=0.2, retry_limit=4)
-        with_backend = route_permutation(
-            topo, perm, backend=backend, fault_model=model, cache=False
-        )
-        baseline = route_permutation(
-            topo, perm, fault_model=model, cache=False
-        )
-        assert with_backend.schedule.steps == baseline.schedule.steps
-        assert with_backend.stats == baseline.stats
-
-        calls = []
-        real = numpy_degraded_core
-
-        def spy(*a, **k):
-            calls.append(True)
-            return real(*a, **k)
-
-        def resolve_spy(name):
-            core = resolve_degraded_backend(name)
-            return spy if core is real else core
-
-        monkeypatch.setattr(
-            engine_mod, "resolve_degraded_backend", resolve_spy
-        )
-        again = route_permutation(
-            topo, perm, backend="numpy", fault_model=model, cache=False
-        )
-        assert calls, "backend='numpy' + fault_model must run the SoA core"
-        assert again.stats == baseline.stats
-
-    def test_fault_run_with_unsupported_backend_raises(self, backend):
-        topo = Mesh2D(4)
-        perm = bit_reversal(16)
-        model = FaultModel(seed=3, drop_prob=0.2, retry_limit=4)
-        with pytest.raises(
-            ValueError, match="does not support fault_model= runs"
-        ):
-            route_permutation(
-                topo, perm, backend="cupy", fault_model=model, cache=False
-            )
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            route_permutation(
-                topo, perm, backend="hx9", fault_model=model, cache=False
-            )
+        via_dem = route_demands(topo, demands, fault_model=model, cache=False)
+        assert_bit_identical((list(via_dem.steps), via_dem.stats), want)
 
 
-class TestCrossBackendCache:
-    def test_numpy_plan_replays_on_indexed_and_vice_versa(self, rng):
-        """The backend is not part of the plan key: a plan recorded by one
-        backend is a cache hit for every other."""
-        for topo in (Mesh2D(4), Hypermesh2D(4)):
-            perm = Permutation.random(topo.num_nodes, rng)
-            cache = PlanCache()
-            first = route_permutation(topo, perm, backend="numpy", cache=cache)
-            assert cache.misses == 1
-            replay = route_permutation(
-                topo, perm, backend="indexed", cache=cache
-            )
-            assert cache.hits == 1
-            assert replay.schedule.steps == first.schedule.steps
-            assert replay.stats == first.stats
-
-    def test_identical_blob_payloads_per_backend(self, rng, tmp_path):
-        """Route the same problem under each backend into its own disk
-        cache: the recorded blobs must be byte-identical files."""
+class TestPlanBlobs:
+    @pytest.mark.parametrize("faulted", [False, True])
+    @pytest.mark.parametrize("arbitration", ARBITRATIONS)
+    def test_core_blob_equals_oracle_blob(
+        self, rng, tmp_path, arbitration, faulted
+    ):
+        """A plan blob recorded by the engine is byte-identical to the blob
+        built from the oracle's steps and stats under the same key."""
         topo = Hypermesh2D(4)
         perm = Permutation.random(topo.num_nodes, rng)
-        blobs = {}
-        for backend in ["indexed"] + BACKENDS:
-            root = tmp_path / backend
-            route_permutation(
-                topo, perm, backend=backend, cache=PlanCache(root)
-            )
-            paths = [
-                p for p in root.rglob("*.json")
-                if not p.name.startswith(("_", "."))  # skip the counters sidecar
-            ]
-            assert len(paths) == 1
-            blobs[backend] = (paths[0].name, paths[0].read_bytes())
-        names = {name for name, _ in blobs.values()}
-        payloads = {payload for _, payload in blobs.values()}
-        assert len(names) == 1, "digest (file name) must not depend on backend"
-        assert len(payloads) == 1, "blob bytes must not depend on backend"
-
-    def test_unknown_backend_fails_before_cache_lookup(self, rng):
-        cache = PlanCache()
-        perm = Permutation.random(16, rng)
-        route_permutation(Mesh2D(4), perm, cache=cache)  # warm the cache
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            route_permutation(Mesh2D(4), perm, backend="hx", cache=cache)
-        # The bad-backend call counted no hit: it failed before lookup.
-        assert cache.hits == 0
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="optional numba not installed")
-class TestNumbaBackend:
-    def test_resolves_and_matches(self, rng):
-        core = resolve_backend("numba")
-        topo = Mesh2D(4)
-        perm = Permutation.random(16, rng)
         src, dst = list(range(16)), perm.destinations.tolist()
-        assert_bit_identical(
-            run_core(core, topo, src, dst),
-            run_core(_route_core, topo, src, dst),
-        )
+        model = model_for(topo) if faulted else None
+        engine_cache = PlanCache(tmp_path / "engine")
+        route_permutation(topo, perm, arbitration=arbitration,
+                          fault_model=model, cache=engine_cache)
+        key = plan_key(topo, src, dst, router_for(topo), arbitration, model)
+        oracle_cache = PlanCache(tmp_path / "oracle")
+        oracle_cache.put(key, CachedPlan.from_run(*run_core(
+            route_oracle, topo, src, dst, model, arbitration=arbitration,
+        )))
+        engine_blob = engine_cache.blob_path(key)
+        assert engine_blob.exists()
+        assert engine_blob.read_bytes() == oracle_cache.blob_path(key).read_bytes()
 
 
-# Fault configurations exercising every degraded-core code path: structural
-# link kills (detours), drops + retries (seeded draws), degraded hypermesh
-# nets (serial arbitration), hard-down nets, and their combinations.
+# Fault configurations exercising every faulted code path: structural link
+# kills (detours), drops + retries (seeded draws), degraded hypermesh nets
+# (serial arbitration), hard-down nets, and their combinations.
 P2P_FAULTS = [
     FaultModel(link_fail_fraction=0.15, seed=3),
     FaultModel(drop_prob=0.3, retry_limit=2, seed=5),
@@ -355,26 +255,23 @@ HYPER_FAULTS = [
 
 
 def run_degraded(core, topology, model, *, arbitration, seed=7, **kwargs):
-    import numpy as np
-
     n = topology.num_nodes
     rng = np.random.default_rng(seed)
     dests = [int(x) for x in rng.permutation(n)]
-    router = router_for(topology)
-    max_steps = 100 * (10 * topology.diameter + 10 * n)
-    return core(
-        topology, list(range(n)), dests, router, max_steps, model,
+    return run_core(
+        core, topology, list(range(n)), dests, model,
         arbitration=arbitration, **kwargs
     )
 
 
-@pytest.mark.parametrize("arbitration", ["overtaking", "fifo"])
+@pytest.mark.parametrize("arbitration", ARBITRATIONS)
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=IDS)
 class TestDegradedEquivalence:
-    """The SoA degraded core is bit-identical to the indexed degraded loop
-    on every topology family, both arbitration policies, and every fault
-    mechanism — including the seeded drop-draw sequence, whose retry/drop
-    accounting must land in :class:`RoutingStats` identically."""
+    """The core's faulted mode is bit-identical to the oracle's scalar
+    (packet-indexed) degraded sweep on every topology family, both
+    arbitration policies, and every fault mechanism — including the
+    seeded drop-draw sequence, whose retry/drop accounting must land in
+    :class:`RoutingStats` identically."""
 
     def faults_for(self, topology):
         if isinstance(topology, (Hypermesh2D, Hypermesh)):
@@ -384,20 +281,20 @@ class TestDegradedEquivalence:
     def test_bit_identical_to_indexed_degraded(self, topology, arbitration):
         for model in self.faults_for(topology):
             want = run_degraded(
-                route_core_degraded, topology, model, arbitration=arbitration
+                route_oracle, topology, model, arbitration=arbitration
             )
             got = run_degraded(
-                numpy_degraded_core, topology, model, arbitration=arbitration
+                route_core, topology, model, arbitration=arbitration
             )
             assert_bit_identical(got, want)
 
     def test_retry_and_drop_accounting(self, topology, arbitration):
         model = FaultModel(drop_prob=0.4, retry_limit=1, seed=17)
         _, want = run_degraded(
-            route_core_degraded, topology, model, arbitration=arbitration
+            route_oracle, topology, model, arbitration=arbitration
         )
         _, got = run_degraded(
-            numpy_degraded_core, topology, model, arbitration=arbitration
+            route_core, topology, model, arbitration=arbitration
         )
         assert got.retried == want.retried
         assert got.dropped == want.dropped
@@ -411,11 +308,11 @@ class TestDegradedEquivalence:
         )
         want_events, got_events = [], []
         run_degraded(
-            route_core_degraded, topology, model, arbitration=arbitration,
+            route_oracle, topology, model, arbitration=arbitration,
             on_fault=lambda *a: want_events.append(a),
         )
         run_degraded(
-            numpy_degraded_core, topology, model, arbitration=arbitration,
+            route_core, topology, model, arbitration=arbitration,
             on_fault=lambda *a: got_events.append(a),
         )
         assert got_events == want_events
@@ -423,6 +320,8 @@ class TestDegradedEquivalence:
 
 class TestDegradedEngineDispatch:
     def test_numpy_backend_via_engine_matches_indexed(self, rng):
+        """``route_permutation`` with an enabled model runs the core's
+        faulted mode and matches the oracle's scalar degraded sweep."""
         for topo in (Mesh2D(4), Hypermesh2D(4)):
             perm = Permutation.random(topo.num_nodes, rng)
             model = (
@@ -431,50 +330,15 @@ class TestDegradedEngineDispatch:
                 else FaultModel(degraded_nets=(0,), drop_prob=0.2,
                                 retry_limit=3, seed=7)
             )
-            a = route_permutation(
-                topo, perm, backend="indexed", fault_model=model, cache=False
+            routed = route_permutation(
+                topo, perm, fault_model=model, cache=False
             )
-            b = route_permutation(
-                topo, perm, backend="numpy", fault_model=model, cache=False
-            )
-            for x, y in zip(a.schedule.steps, b.schedule.steps):
-                assert list(x.items()) == list(y.items())
-            assert a.stats == b.stats
-
-    def test_degraded_plans_cache_across_backends(self, rng):
-        """Fault fingerprint is in the plan key, backend is not: a degraded
-        plan recorded under one backend replays under the other."""
-        topo = Mesh2D(4)
-        perm = Permutation.random(16, rng)
-        model = FaultModel(link_fail_fraction=0.15, seed=5)
-        cache = PlanCache()
-        first = route_permutation(
-            topo, perm, backend="numpy", fault_model=model, cache=cache
-        )
-        assert cache.misses == 1
-        replay = route_permutation(
-            topo, perm, backend="indexed", fault_model=model, cache=cache
-        )
-        assert cache.hits == 1
-        assert replay.schedule.steps == first.schedule.steps
-        assert replay.stats == first.stats
-
-
-@pytest.mark.skipif(
-    importlib.util.find_spec("cupy") is not None,
-    reason="cupy is installed here",
-)
-class TestCupyUnavailable:
-    def test_missing_cupy_is_a_clear_error(self):
-        from repro.sim.backends import cupy_available
-
-        assert not cupy_available()
-        with pytest.raises(ValueError, match="cupy"):
-            resolve_backend("cupy")
-        with pytest.raises(ValueError, match="cupy"):
-            route_permutation(
-                Mesh2D(2), bit_reversal(4), backend="cupy", cache=False
+            assert_bit_identical(
+                (list(routed.schedule.steps), routed.stats),
+                run_core(route_oracle, topo, list(range(topo.num_nodes)),
+                         perm.destinations.tolist(), model),
             )
 
-    def test_cupy_absent_from_available_backends(self):
-        assert "cupy" not in available_backends()
+    def test_backend_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="backend"):
+            route_permutation(Mesh2D(2), bit_reversal(4), backend="numpy")

@@ -1,11 +1,13 @@
 """The engine-equivalence guarantee, enforced.
 
-The indexed arbitration engine in ``repro.sim.engine`` must produce
+The engine core (:func:`repro.sim.core.route_core`) must produce
 **bit-identical** schedules and statistics to the seed loop preserved in
 ``repro.sim._reference`` — same step dicts, same counters — on every
-topology family, for permutations and h-relations alike.  These tests are
-the contract the rebuild was done under; if one fails, the optimization
-changed observable routing behaviour and must be fixed, not the test.
+topology family, for permutations and h-relations alike; and so must the
+scalar oracle (:func:`repro.sim._reference.route_oracle`) in the mode the
+seed loop defines (fault-free, overtaking), which anchors the oracle the
+other modes are checked against.  If one of these fails, observable
+routing behaviour changed and must be fixed, not the test.
 """
 
 import numpy as np
@@ -21,8 +23,8 @@ from repro.networks import (
     Torus2D,
 )
 from repro.routing import Permutation, bit_reversal
-from repro.sim._reference import reference_route_core
-from repro.sim.engine import _route_core
+from repro.sim._reference import reference_route_core, route_oracle
+from repro.sim.core import route_core
 from repro.sim.routers import router_for
 
 TOPOLOGIES = [
@@ -41,7 +43,7 @@ def both_engines(topology, sources, dests, max_steps=None):
     router = router_for(topology)
     if max_steps is None:
         max_steps = 100 * (10 * topology.diameter + 10 * topology.num_nodes)
-    new = _route_core(topology, sources, dests, router, max_steps)
+    new = route_core(topology, sources, dests, router, max_steps)
     ref = reference_route_core(topology, sources, dests, router, max_steps)
     return new, ref
 
@@ -98,13 +100,40 @@ def test_hotspot_gather_identical(topology, rng):
 
 
 def test_sparse_demands_identical(rng):
-    """Few packets on a big network — the active-worklist path — still match."""
+    """Few packets on a big network — mostly empty queues — still match."""
     topology = Mesh2D(16)
     n = topology.num_nodes
     sources = rng.integers(0, n, size=12).tolist()
     dests = rng.integers(0, n, size=12).tolist()
     new, ref = both_engines(topology, sources, dests)
     assert_identical(new, ref)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES, ids=IDS)
+def test_oracle_matches_seed_loop(topology, rng):
+    """``route_oracle(fault_model=None, "overtaking")`` is the seed loop:
+    permutations, h-relations and a hotspot gather, step dicts in
+    insertion order."""
+    n = topology.num_nodes
+    router = router_for(topology)
+    max_steps = 100 * (10 * topology.diameter + 10 * n)
+    cases = [
+        (list(range(n)), Permutation.random(n, rng).destinations.tolist()),
+        (rng.integers(0, n, 3 * n).tolist(), rng.integers(0, n, 3 * n).tolist()),
+        (list(range(n)), [0] * n),
+    ]
+    for sources, dests in cases:
+        got_steps, got_stats = route_oracle(
+            topology, sources, dests, router, max_steps,
+            arbitration="overtaking",
+        )
+        want_steps, want_stats = reference_route_core(
+            topology, sources, dests, router, max_steps
+        )
+        assert [list(s.items()) for s in got_steps] == [
+            list(s.items()) for s in want_steps
+        ]
+        assert got_stats == want_stats
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=IDS)
@@ -145,7 +174,7 @@ def test_disk_replay_identical_to_live(topology, rng, tmp_path):
 
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=IDS)
 def test_next_hop_array_matches_scalar(topology, rng):
-    """The engine's batched hop refill relies on next_hop_array answering
+    """The engine core's batched next hops rely on next_hop_array answering
     exactly like next_hop, elementwise, for every (current, dest) pair."""
     router = router_for(topology)
     n = topology.num_nodes
@@ -161,14 +190,17 @@ def test_next_hop_array_matches_scalar(topology, rng):
 
 
 def test_max_steps_guard_identical():
-    """Both engines refuse an exhausted step budget with ScheduleError."""
+    """Core, oracle and seed loop refuse an exhausted step budget with the
+    same ScheduleError."""
     from repro.sim.schedule import ScheduleError
 
     topology = Mesh2D(4)
     perm = bit_reversal(16)
     router = router_for(topology)
     args = (topology, list(range(16)), perm.destinations.tolist(), router, 2)
-    with pytest.raises(ScheduleError, match="undelivered"):
-        _route_core(*args)
-    with pytest.raises(ScheduleError, match="undelivered"):
-        reference_route_core(*args)
+    messages = set()
+    for engine in (route_core, route_oracle, reference_route_core):
+        with pytest.raises(ScheduleError, match="undelivered") as err:
+            engine(*args)
+        messages.add(str(err.value))
+    assert len(messages) == 1

@@ -13,9 +13,9 @@ moves).  These tests pin that down:
   source's packet order (same queues, same FIFO ranks) must likewise be a
   pure renaming of the original run.
 
-Run on both the indexed engine and the SoA backend: this is exactly the
-class of latent nondeterminism a flat-array rewrite could silently bake
-in.
+Run on both the engine core (``numpy``: the structure-of-arrays core the
+entry points use) and the scalar oracle: this is exactly the class of
+latent nondeterminism a flat-array rewrite could silently bake in.
 """
 
 import numpy as np
@@ -23,38 +23,52 @@ import pytest
 
 from repro.networks import Hypermesh2D, Mesh2D, Torus2D
 from repro.sim import route_demands
+from repro.sim._reference import route_oracle
+from repro.sim.routers import router_for
 
 TOPOLOGIES = [Mesh2D(4), Torus2D(4), Hypermesh2D(4)]
 IDS = [type(t).__name__ for t in TOPOLOGIES]
-BACKENDS = ["indexed", "numpy"]
+ENGINES = ["numpy", "oracle"]
+
+
+def route(topology, demands, engine):
+    """(steps, stats) of ``demands`` through the engine core or the oracle."""
+    if engine == "numpy":
+        routed = route_demands(topology, demands, cache=False)
+        return list(routed.steps), routed.stats
+    return route_oracle(
+        topology, [s for s, _ in demands], [d for _, d in demands],
+        router_for(topology), 10_000,
+    )
 
 
 def relabeled_equal(routed_a, routed_b, sigma):
     """``routed_b`` must be ``routed_a`` with packet ``sigma[k]`` renamed
     ``k`` — same moves step by step, identical stats."""
-    assert len(routed_a.steps) == len(routed_b.steps)
-    for step_a, step_b in zip(routed_a.steps, routed_b.steps):
+    (steps_a, stats_a), (steps_b, stats_b) = routed_a, routed_b
+    assert len(steps_a) == len(steps_b)
+    for step_a, step_b in zip(steps_a, steps_b):
         assert {sigma[k]: node for k, node in step_b.items()} == dict(step_a)
-    assert routed_a.stats == routed_b.stats
+    assert stats_a == stats_b
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=IDS)
-def test_permutation_invariant_under_any_relabeling(topology, backend, rng):
+def test_permutation_invariant_under_any_relabeling(topology, engine, rng):
     n = topology.num_nodes
     dests = rng.permutation(n).tolist()
     demands = list(zip(range(n), dests))
     sigma = rng.permutation(n).tolist()
     shuffled = [demands[sigma[k]] for k in range(n)]
-    a = route_demands(topology, demands, backend=backend, cache=False)
-    b = route_demands(topology, shuffled, backend=backend, cache=False)
+    a = route(topology, demands, engine)
+    b = route(topology, shuffled, engine)
     relabeled_equal(a, b, sigma)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=IDS)
 def test_h_relation_invariant_under_order_preserving_relabeling(
-    topology, backend, rng
+    topology, engine, rng
 ):
     n = topology.num_nodes
     demands = list(
@@ -64,6 +78,6 @@ def test_h_relation_invariant_under_order_preserving_relabeling(
     # nontrivial relabeling that keeps every queue's contents and ranks.
     sigma = np.argsort([s for s, _ in demands], kind="stable").tolist()
     shuffled = [demands[sigma[k]] for k in range(len(demands))]
-    a = route_demands(topology, demands, backend=backend, cache=False)
-    b = route_demands(topology, shuffled, backend=backend, cache=False)
+    a = route(topology, demands, engine)
+    b = route(topology, shuffled, engine)
     relabeled_equal(a, b, sigma)

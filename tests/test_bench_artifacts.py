@@ -3,14 +3,16 @@
 The benchmark artifacts are the repo's performance claims of record, so
 their shape is enforced like code: required top-level keys per artifact,
 ``equivalent: true`` on every row that claims bit-identity, no null
-timings outside ``gpu_available: false`` rows, and — since the bound
-certifier landed — every engine/faults row carries ``certified: true``
-with ``bound <= steps``.
+timings outside ``gpu_available: false`` rows, every engine/faults
+timing backed by at least ``MIN_SAMPLES`` raw samples with their median
+and spread, and every engine/faults row carries ``certified: true`` with
+``bound <= steps``.
 """
 
 import json
 import math
 from pathlib import Path
+from statistics import median
 
 import pytest
 
@@ -22,12 +24,11 @@ ARTIFACTS = sorted(REPO.glob("BENCH_*.json"))
 REQUIRED_KEYS = {
     "BENCH_campaign.json": {"summary", "rows", "spec_hash", "meta"},
     "BENCH_engine.json": {
-        "engines", "baseline", "equivalence", "sizes", "backends", "rows",
-        "gpu_crossover",
+        "engine", "baseline", "equivalence", "timing", "sizes", "rows",
     },
     "BENCH_faults.json": {
-        "engine", "baseline", "equivalence", "timing", "sizes", "backends",
-        "rows", "unroutable_cells",
+        "engine", "baseline", "equivalence", "timing", "sizes", "rows",
+        "unroutable_cells",
     },
     "BENCH_plancache.json": {"engine", "baseline", "equivalence", "sizes", "rows"},
     "BENCH_service.json": {
@@ -38,16 +39,33 @@ REQUIRED_KEYS = {
 
 #: Row keys every routable row of the two engine-layer artifacts must have.
 ENGINE_ROW_KEYS = {
-    "topology", "n", "workload", "backend", "packets", "steps",
-    "total_hops", "engine_seconds", "seed_engine_seconds", "speedup",
+    "topology", "n", "workload", "packets", "steps", "total_hops",
+    "engine_seconds", "engine_samples", "engine_spread",
+    "seed_engine_seconds", "seed_samples", "seed_spread", "speedup",
     "equivalent", "bound", "bound_ratio", "bound_kind", "certified",
 }
 FAULTS_ROW_KEYS = {
-    "topology", "n", "axis", "amount", "backend", "unroutable", "steps",
-    "total_hops", "delivered", "dropped", "retried", "route_seconds",
-    "speedup_vs_indexed", "equivalent", "steps_vs_fault_free",
+    "topology", "n", "axis", "amount", "unroutable", "steps",
+    "total_hops", "delivered", "dropped", "retried",
+    "route_seconds", "route_samples", "route_spread",
+    "oracle_seconds", "oracle_samples", "oracle_spread",
+    "speedup_vs_oracle", "equivalent", "steps_vs_fault_free",
     "hops_vs_fault_free", "bound", "bound_ratio", "bound_kind", "certified",
 }
+
+#: Each timed side of an engine/faults row: (median key, samples key,
+#: spread key).
+ENGINE_TIMINGS = (
+    ("engine_seconds", "engine_samples", "engine_spread"),
+    ("seed_engine_seconds", "seed_samples", "seed_spread"),
+)
+FAULTS_TIMINGS = (
+    ("route_seconds", "route_samples", "route_spread"),
+    ("oracle_seconds", "oracle_samples", "oracle_spread"),
+)
+
+#: Fewest raw samples a recorded timing may rest on, at every size.
+MIN_SAMPLES = 3
 
 
 def _load(name):
@@ -118,6 +136,20 @@ def test_no_null_timings_outside_gpu_unavailable_rows(name):
     check(data)
 
 
+def assert_timed(row, timings):
+    """Each timed side of ``row`` rests on >= MIN_SAMPLES raw samples and
+    records their median and (max - min) / median spread."""
+    for seconds, samples, spread in timings:
+        got = row[samples]
+        assert len(got) >= MIN_SAMPLES, f"too few samples in {row}"
+        assert math.isclose(row[seconds], median(got), rel_tol=1e-3,
+                            abs_tol=1e-6), f"{seconds} is not the median"
+        want = (max(got) - min(got)) / median(got)
+        assert math.isclose(row[spread], want, rel_tol=1e-2, abs_tol=2e-3), (
+            f"{spread} does not match its samples in {row}"
+        )
+
+
 @pytest.mark.parametrize(
     "name", ["BENCH_engine.json", "BENCH_faults.json", "BENCH_plancache.json"]
 )
@@ -138,6 +170,7 @@ def test_engine_rows_are_certified():
     assert data["rows"], "BENCH_engine.json has no rows"
     for row in data["rows"]:
         assert set(row) == ENGINE_ROW_KEYS, f"row keys drifted: {sorted(row)}"
+        assert_timed(row, ENGINE_TIMINGS)
         assert row["certified"] is True
         assert 0 <= row["bound"] <= row["steps"]
         assert row["bound_ratio"] is None or row["bound_ratio"] >= 1.0
@@ -149,6 +182,7 @@ def test_faults_rows_are_certified():
     assert routable, "BENCH_faults.json has no routable rows"
     for row in routable:
         assert set(row) == FAULTS_ROW_KEYS, f"row keys drifted: {sorted(row)}"
+        assert_timed(row, FAULTS_TIMINGS)
         assert row["certified"] is True
         assert 0 <= row["bound"] <= row["steps"]
     for row in data["rows"]:

@@ -179,32 +179,14 @@ class TestTraceCommand:
         assert rc == 2
         assert "unknown trace target" in capsys.readouterr().err
 
-    def test_numpy_backend_traces_identically(self, tmp_path, capsys):
-        from repro.obs import read_trace
-
-        a, b = tmp_path / "idx.jsonl", tmp_path / "np.jsonl"
-        assert main(["trace", "mesh2d", "--n", "16", "--out", str(a)]) == 0
-        assert main(["trace", "mesh2d", "--n", "16", "--backend", "numpy",
-                     "--out", str(b)]) == 0
-        # Same workload, same contract: the two backends must emit the
-        # same step/link events (host timing aside, which read_trace keeps
-        # out of the typed payloads compared here).
-        strip = {"seconds", "total_seconds", "mean_step_seconds"}
-        events_a = [
-            (e.type, {k: v for k, v in e.data.items() if k not in strip})
-            for e in read_trace(a) if e.type != "trace.meta"
-        ]
-        events_b = [
-            (e.type, {k: v for k, v in e.data.items() if k not in strip})
-            for e in read_trace(b) if e.type != "trace.meta"
-        ]
-        assert events_a == events_b
-
     def test_unknown_backend_exits_2(self, tmp_path, capsys):
-        rc = main(["trace", "mesh2d", "--n", "16", "--backend", "vulkan",
-                   "--out", str(tmp_path / "t.jsonl")])
-        assert rc == 2
-        assert "unknown engine backend" in capsys.readouterr().err
+        """There is one engine core: ``--backend`` is no longer an option,
+        so argparse rejects it with its usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "mesh2d", "--n", "16", "--backend", "numpy",
+                  "--out", str(tmp_path / "t.jsonl")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_unknown_workload_exits_2(self, tmp_path, capsys):
         rc = main(["trace", "mesh2d", "--n", "16", "--workload", "storm",

@@ -13,8 +13,6 @@ Two checks, both run by the CI docs job and by
 
    * the "Event types" section of ``docs/OBSERVABILITY.md`` comes from
      ``repro.obs.events`` (:data:`EVENT_TYPES`);
-   * the engine-backends table in ``docs/API.md`` comes from
-     ``repro.sim.backends`` (:data:`ENGINE_BACKENDS`);
    * the service endpoint table in ``docs/API.md`` comes from
      ``repro.service.app`` (:data:`ENDPOINTS`);
    * the paper-sections table in ``docs/API.md`` comes from
@@ -49,9 +47,6 @@ REPO = Path(__file__).resolve().parent.parent
 OBSERVABILITY = REPO / "docs" / "OBSERVABILITY.md"
 API = REPO / "docs" / "API.md"
 BEGIN = "<!-- BEGIN GENERATED: event types (tools/check_docs.py --write) -->"
-BACKENDS_BEGIN = (
-    "<!-- BEGIN GENERATED: engine backends (tools/check_docs.py --write) -->"
-)
 SERVICE_BEGIN = (
     "<!-- BEGIN GENERATED: service endpoints (tools/check_docs.py --write) -->"
 )
@@ -122,28 +117,6 @@ def render_event_types() -> str:
     return "\n".join(lines)
 
 
-def render_engine_backends() -> str:
-    """The canonical engine-backends table, straight from the registry.
-
-    Deliberately availability-agnostic: the table documents every backend
-    the seam knows, not which optional packages this host happens to have
-    installed, so the rendered bytes are identical everywhere.
-    """
-    from repro.sim.backends import ENGINE_BACKENDS
-
-    lines = [
-        BACKENDS_BEGIN,
-        "",
-        "| backend | degraded | description |",
-        "|---|---|---|",
-    ]
-    for name, spec in ENGINE_BACKENDS.items():
-        degraded = "yes" if spec.degraded else "no"
-        lines.append(f"| `{name}` | {degraded} | {spec.description} |")
-    lines += ["", END]
-    return "\n".join(lines)
-
-
 def render_service_endpoints() -> str:
     """The canonical service endpoint table, from ``repro.service.app``."""
     from repro.service.app import ENDPOINTS
@@ -210,8 +183,6 @@ def render_bound_families() -> str:
 #: ``check_contract`` diffs each against its renderer; ``--write`` rewrites.
 GENERATED_BLOCKS = (
     (OBSERVABILITY, BEGIN, render_event_types, "repro.obs.events.EVENT_TYPES"),
-    (API, BACKENDS_BEGIN, render_engine_backends,
-     "repro.sim.backends.ENGINE_BACKENDS"),
     (API, SERVICE_BEGIN, render_service_endpoints,
      "repro.service.app.ENDPOINTS"),
     (API, SECTIONS_BEGIN, render_paper_sections,
