@@ -40,20 +40,31 @@ halving_cut_links` crossing links (point-to-point) or
     a rotation realizes ``|net|`` moves per net-step).
 
 Fault awareness: given a :class:`~repro.faults.FaultModel`, distances are
-recomputed on the surviving graph and every capacity shrinks to its
-surviving value (down links/nets excluded, degraded nets serialized to one
-packet per step), so bounds under faults only ever tighten.  Runs that
-drop ``k`` packets are certified against an adversarially weakened demand
-set — the ``k`` most expensive packets are discounted (order statistics on
-distances, crossing counts, and per-node loads) — so a lossy run can never
-be failed by work it provably did not do.
+recomputed on the surviving graph when a link, node or net is removed, and
+every capacity shrinks to its surviving value (down links/nets excluded,
+degraded nets serialized to one packet per step), so bounds under faults
+only ever tighten.  Runs that drop ``k`` packets are certified against an
+adversarially weakened demand set — the ``k`` most expensive packets are
+discounted (order statistics on distances, crossing counts, and per-node
+loads) — so a lossy run can never be failed by work it provably did not
+do.
+
+Computation: :func:`step_lower_bound` is one NumPy pass over the demand
+array — closed-form :meth:`~repro.networks.base.Topology.distance_array`
+distances (surviving-graph tables only under removals), ``bincount``
+loads, a sorted top-``k`` discount — against a per-machine channel
+summary (cut capacity, channels per node, machine-wide slots) built once
+from the cached link or net array and cached on the topology, or on the
+:class:`~repro.faults.model.ResolvedFaults` under faults.  The loop
+version is the test oracle in ``tests/bounds/scalar_oracle.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "BOUND_KINDS",
@@ -176,122 +187,136 @@ def _resolved(topology, fault_model):
     return resolve_faults(fault_model, topology)
 
 
-def _moving(demands: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [(int(s), int(d)) for s, d in demands if int(s) != int(d)]
+def _moving(topology, demands: Iterable[tuple[int, int]]) -> np.ndarray:
+    """The demands as a ``(P, 2)`` int64 array, self-demands dropped.
+
+    A node outside the machine raises :meth:`~repro.networks.base.\
+Topology.validate_node`'s ``ValueError`` for the first one in pair order
+    (source before destination) — on the faulted path too, where a
+    negative id would otherwise index the distance table from the end.
+    """
+    if not isinstance(demands, np.ndarray):
+        demands = list(demands)
+    pairs = np.asarray(demands, dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("demands must be (source, destination) pairs")
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    flat = pairs.ravel()
+    bad = (flat < 0) | (flat >= topology.num_nodes)
+    if bad.any():
+        topology.validate_node(int(flat[np.argmax(bad)]))
+    return pairs
 
 
-def _distances(topology, demands, resolved) -> list[int]:
-    """Per-packet hop distances, on the surviving graph under structural
-    faults.  Raises :class:`~repro.faults.UnroutableError` when a demand's
-    endpoints are disconnected (its bound would be infinite)."""
+def _distances(topology, sources, dests, resolved) -> np.ndarray:
+    """Per-packet hop distances, on the surviving graph when faults remove
+    a link, node or net (a degraded net still connects its members, so
+    degraded-only faults keep the closed form).  Raises
+    :class:`~repro.faults.UnroutableError` when a demand's endpoints are
+    disconnected (its bound would be infinite)."""
     from ..faults.model import UnroutableError
 
+    if resolved is None or not resolved.removes:
+        return topology.distance_array(sources, dests)
+    table, dest_row = resolved.surviving_graph(topology).dest_table(dests)
+    dists = table[dest_row[dests], sources]
+    unreachable = np.flatnonzero(dists < 0)
+    if unreachable.size:
+        # Name the culprit a per-destination scan finds first: destinations
+        # in order of first appearance, then that destination's sources in
+        # packet order.
+        _, first, group = np.unique(
+            dests, return_index=True, return_inverse=True
+        )
+        culprit = unreachable[np.argmin(first[group[unreachable]])]
+        raise UnroutableError(
+            f"no surviving path from {sources[culprit]} to "
+            f"{dests[culprit]}: the step lower bound is infinite"
+        )
+    return dists
+
+
+@dataclass(frozen=True)
+class _Channels:
+    """Per-step channel capacities of one machine (intact or faulted)."""
+
+    #: Packets the index-halving cut passes per step, per direction.
+    cut: int
+    #: Incident channels per node (send = receive capacity per step).
+    per_node: np.ndarray
+    #: Machine-wide channel traversals possible in one step.
+    total: int
+
+
+def _channels(topology, resolved) -> _Channels:
+    """The channel summary, computed once per topology instance (intact)
+    or per (fault set, topology) pair, and cached there."""
     if resolved is None or not resolved.structural:
-        return [int(topology.distance(s, d)) for s, d in demands]
-    graph = resolved.surviving_graph(topology)
-    by_dest: dict[int, list[int]] = {}
-    for s, d in demands:
-        by_dest.setdefault(d, []).append(s)
-    out: list[int] = []
-    for d, sources in by_dest.items():
-        table = graph.distances_list(d)
-        for s in sources:
-            hops = table[s]
-            if hops < 0:
-                raise UnroutableError(
-                    f"no surviving path from {s} to {d}: the step lower "
-                    "bound is infinite"
-                )
-            out.append(int(hops))
-    return out
+        summary = getattr(topology, "_bound_channels", None)
+        if summary is None:
+            summary = _channel_summary(topology, None)
+            topology._bound_channels = summary
+        return summary
+    return resolved.cached(
+        topology, "bound_channels",
+        lambda: _channel_summary(topology, resolved),
+    )
 
 
-def _is_hypergraph(topology) -> bool:
+def _id_mask(ids, size: int) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[np.fromiter(ids, dtype=np.int64, count=len(ids))] = True
+    return mask
+
+
+def _channel_summary(topology, resolved) -> _Channels:
+    """Surviving capacities: down links, nodes and nets carry nothing, and
+    a degraded net moves one packet per step however many members it has."""
     from ..networks.base import ChannelModel
+    from ..networks.properties import (
+        halving_cut_link_mask,
+        net_crossing_port_counts,
+    )
 
-    return topology.channel_model is ChannelModel.HYPERGRAPH_NET
-
-
-def _alive_net_members(topology, resolved):
-    """(net_id, alive member tuple) per net that still carries packets."""
-    for net_id, members in enumerate(topology.nets()):
-        if resolved is not None and resolved.net_down(net_id):
-            continue
-        if resolved is not None and resolved.down_nodes:
-            members = tuple(
-                m for m in members if m not in resolved.down_nodes
-            )
-        yield net_id, members
-
-
-def _cut_capacity(topology, resolved) -> int:
-    """Packets the index-halving cut passes per step, per direction."""
     n = topology.num_nodes
-    half = n // 2
-    if _is_hypergraph(topology):
-        cap = 0
-        for net_id, members in _alive_net_members(topology, resolved):
-            left = sum(1 for m in members if m < half)
-            ports = min(left, len(members) - left)
-            if ports and resolved is not None and net_id in resolved.degraded_nets:
-                ports = 1  # serialized: one packet per step on the whole net
-            cap += ports
-        return cap
-    cap = 0
-    for u, v in topology.links():
-        if (u < half) == (v < half):
-            continue
-        if resolved is not None and (
-            resolved.link_down(u, v)
-            or u in resolved.down_nodes
-            or v in resolved.down_nodes
-        ):
-            continue
-        cap += 1
-    return cap
+    if topology.channel_model is ChannelModel.HYPERGRAPH_NET:
+        nets = topology.net_array()
+        if resolved is None:
+            alive = np.ones(nets.shape, dtype=bool)
+            degraded = np.zeros(nets.shape[0], dtype=bool)
+        else:
+            alive = ~_id_mask(resolved.down_nodes, n)[nets]
+            alive &= ~_id_mask(resolved.down_nets, nets.shape[0])[:, None]
+            degraded = _id_mask(resolved.degraded_nets, nets.shape[0])
+        size = alive.sum(axis=1, dtype=np.int64)
+        carrying = size > 1
+        ports = net_crossing_port_counts(topology, alive)
+        # serialized: one packet per step on the whole net
+        ports = np.where(degraded & (ports > 0), 1, ports)
+        per_node = np.bincount(
+            nets[alive & carrying[:, None]], minlength=n
+        )
+        # a rotation moves |net| packets; a degraded net moves one
+        total = np.where(carrying, np.where(degraded, 1, size), 0).sum()
+        return _Channels(int(ports.sum()), per_node, int(total))
+    links = topology.link_array()
+    crossing = halving_cut_link_mask(topology)
+    if resolved is not None:
+        alive = resolved.surviving_graph(topology).edges_alive(
+            links[:, 0], links[:, 1]
+        )
+        links, crossing = links[alive], crossing[alive]
+    per_node = np.bincount(links.ravel(), minlength=n)
+    # directed slots: each surviving link carries one packet each way
+    return _Channels(
+        int(np.count_nonzero(crossing)), per_node, 2 * links.shape[0]
+    )
 
 
-def _node_channels(topology, resolved) -> list[int]:
-    """Per-node incident channel count (send = receive capacity per step)."""
-    n = topology.num_nodes
-    if resolved is not None and resolved.structural:
-        adjacency = resolved.surviving_graph(topology).adjacency
-        if _is_hypergraph(topology):
-            channels = [0] * n
-            for _net_id, members in _alive_net_members(topology, resolved):
-                if len(members) > 1:
-                    for m in members:
-                        channels[m] += 1
-            return channels
-        return [len(adjacency[v]) for v in range(n)]
-    if _is_hypergraph(topology):
-        return [len(topology.nets_of(v)) for v in range(n)]
-    return [len(topology.neighbors(v)) for v in range(n)]
-
-
-def _total_capacity(topology, resolved) -> int:
-    """Machine-wide channel traversals possible in one step."""
-    if _is_hypergraph(topology):
-        total = 0
-        for net_id, members in _alive_net_members(topology, resolved):
-            if len(members) < 2:
-                continue
-            if resolved is not None and net_id in resolved.degraded_nets:
-                total += 1
-            else:
-                total += len(members)  # a rotation moves |net| packets
-        return total
-    if resolved is not None and resolved.structural:
-        adjacency = resolved.surviving_graph(topology).adjacency
-        return sum(len(row) for row in adjacency)  # directed slots
-    return 2 * topology.num_links()
-
-
-def _drop_topk(values: Sequence[int], k: int) -> list[int]:
-    """Discount the ``k`` largest entries (adversarially dropped packets)."""
-    if k <= 0:
-        return list(values)
-    return sorted(values)[: max(0, len(values) - k)]
+def _ceil_div(num, den):
+    return -(-num // den)
 
 
 def step_lower_bound(
@@ -309,62 +334,63 @@ def step_lower_bound(
     packets (see module docstring); a demand whose endpoints are
     disconnected under ``fault_model`` raises
     :class:`~repro.faults.UnroutableError`.
+
+    ``demands`` is any iterable of ``(source, destination)`` pairs or a
+    ``(P, 2)`` integer array; the floor is one NumPy pass over it.
     """
     from ..faults.model import UnroutableError
 
     resolved = _resolved(topology, fault_model)
-    moving = _moving(demands)
+    moving = _moving(topology, demands)
+    packets = moving.shape[0]
     k = max(0, int(dropped))
     witness: dict[str, Any] = {
-        "packets": len(moving),
+        "packets": packets,
         "dropped": k,
         "faulted": resolved is not None and resolved.structural,
     }
-    if not moving or k >= len(moving):
+    if not packets or k >= packets:
         witness |= {"kinds": {b.name: 0 for b in BOUND_KINDS}, "binding": "trivial"}
         return 0, witness
 
-    dists = _distances(topology, moving, resolved)
-    surviving = _drop_topk(dists, k)
+    sources, dests = moving[:, 0], moving[:, 1]
+    dists = _distances(topology, sources, dests, resolved)
+    # Discount the k largest distances (adversarially dropped packets).
+    surviving = np.sort(dists)[: packets - k]
 
     # distance: the (k+1)-th largest distance must still be covered.
-    distance_bound = max(surviving) if surviving else 0
+    distance_bound = int(surviving[-1])
 
     # bisection: directional crossing demand over the cut capacity.
     half = topology.num_nodes // 2
-    crossing_lr = sum(1 for s, d in moving if s < half <= d)
-    crossing_rl = sum(1 for s, d in moving if d < half <= s)
+    left_source, left_dest = sources < half, dests < half
+    crossing_lr = int(np.count_nonzero(left_source & ~left_dest))
+    crossing_rl = int(np.count_nonzero(left_dest & ~left_source))
     crossing = max(0, max(crossing_lr, crossing_rl) - k)
-    cut_cap = _cut_capacity(topology, resolved)
-    if crossing and not cut_cap:
+    channels = _channels(topology, resolved)
+    if crossing and not channels.cut:
         raise UnroutableError(
             "demands cross the halving cut but no surviving channel does"
         )
-    bisection_bound = math.ceil(crossing / cut_cap) if crossing else 0
+    bisection_bound = _ceil_div(crossing, channels.cut) if crossing else 0
 
-    # ports: the BSP h-relation floor at the most loaded endpoint.
-    channels = _node_channels(topology, resolved)
-    out_load: dict[int, int] = {}
-    in_load: dict[int, int] = {}
-    for s, d in moving:
-        out_load[s] = out_load.get(s, 0) + 1
-        in_load[d] = in_load.get(d, 0) + 1
-    ports_bound = 0
-    max_h = 0
-    for load in (out_load, in_load):
-        for node, h in load.items():
-            h = max(0, h - k)
-            if not h:
-                continue
-            max_h = max(max_h, h)
-            # channels[node] > 0: a channel-less endpoint would have been
-            # caught as disconnected by the distance pass above.
-            ports_bound = max(ports_bound, math.ceil(h / channels[node]))
+    # ports: the BSP h-relation floor at the most loaded endpoint, per
+    # direction (row 0 sends, row 1 receives).
+    n = topology.num_nodes
+    loads = np.stack(
+        (np.bincount(sources, minlength=n), np.bincount(dests, minlength=n))
+    )
+    h = np.maximum(loads - k, 0)
+    max_h = int(h.max())
+    # A loaded endpoint always has a channel (a channel-less one fails the
+    # distance pass above), so the divisor clamp only touches idle nodes.
+    ports_bound = int(_ceil_div(h, np.maximum(channels.per_node, 1)).max())
 
     # work: total traversals over machine-wide per-step slot capacity.
-    total_cap = _total_capacity(topology, resolved)
-    total_distance = sum(surviving)
-    work_bound = math.ceil(total_distance / total_cap) if total_distance else 0
+    total_distance = int(surviving.sum())
+    work_bound = (
+        _ceil_div(total_distance, channels.total) if total_distance else 0
+    )
 
     kinds = {
         "bisection": bisection_bound,
@@ -377,10 +403,10 @@ def step_lower_bound(
         "kinds": kinds,
         "binding": binding,
         "cut_demand": max(crossing_lr, crossing_rl),
-        "cut_capacity": cut_cap,
+        "cut_capacity": channels.cut,
         "max_distance": distance_bound,
         "total_distance": total_distance,
-        "total_capacity": total_cap,
+        "total_capacity": channels.total,
         "max_h": max_h,
     }
     return kinds[binding], witness
@@ -414,7 +440,8 @@ def certify(
 def certify_schedule(schedule, *, label: str | None = None) -> Certificate:
     """Certify a :class:`~repro.sim.schedule.CommSchedule` against the
     floor of its own logical permutation."""
-    demands = list(enumerate(schedule.logical.destinations.tolist()))
+    dests = np.asarray(schedule.logical.destinations, dtype=np.int64)
+    demands = np.stack((np.arange(dests.shape[0], dtype=np.int64), dests), axis=1)
     return certify(
         schedule.topology, demands, schedule.num_steps, label=label
     )
@@ -453,21 +480,23 @@ def certify_stages(
     return cert
 
 
-def program_stage_demands(program) -> list[tuple[tuple[int, int], ...]]:
-    """One demand set per communication op of a SIMD machine program.
+def program_stage_demands(program) -> list[np.ndarray]:
+    """One demand set per communication op of a SIMD machine program, as
+    a ``(P, 2)`` int64 array of its moving ``(source, destination)`` pairs.
 
     Exchange and Permute both realize their schedule's logical permutation
     on the wire; Compute ops move nothing and contribute no stage.
     """
     from ..sim.machine import Exchange, Permute
 
-    stages: list[tuple[tuple[int, int], ...]] = []
+    stages: list[np.ndarray] = []
     for op in program:
         if isinstance(op, (Exchange, Permute)):
-            dests = op.schedule.logical.destinations.tolist()
-            stages.append(
-                tuple((i, d) for i, d in enumerate(dests) if i != d)
+            dests = np.asarray(op.schedule.logical.destinations, dtype=np.int64)
+            pairs = np.stack(
+                (np.arange(dests.shape[0], dtype=np.int64), dests), axis=1
             )
+            stages.append(pairs[pairs[:, 0] != pairs[:, 1]])
     return stages
 
 

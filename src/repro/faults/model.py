@@ -294,8 +294,9 @@ class ResolvedFaults:
     down_nodes: frozenset[int]
     down_nets: frozenset[int]
     degraded_nets: frozenset[int]
-    #: Per-topology :class:`~repro.networks.degraded.SurvivingGraph` cache,
-    #: keyed by ``id(topology)`` with a weakref guard against id reuse.
+    #: Per-topology derived structures (the :class:`~repro.networks.\
+    #: degraded.SurvivingGraph`, the certifier's channel summary), keyed by
+    #: ``(kind, id(topology))`` with a weakref guard against id reuse.
     #: Excluded from equality/repr; reset on pickling (weakrefs don't
     #: serialize, and the structures rebuild deterministically).
     _cache: dict = field(
@@ -306,6 +307,17 @@ class ResolvedFaults:
         state = self.__dict__.copy()
         state["_cache"] = {}
         return state
+
+    def cached(self, topology: "Topology", kind: str, build):
+        """``build()``'s result for ``(kind, topology)``, built once per
+        instance pair and shared by every later caller."""
+        key = (kind, id(topology))
+        entry = self._cache.get(key)
+        if entry is not None and entry[0]() is topology:
+            return entry[1]
+        value = build()
+        self._cache[key] = (weakref.ref(topology), value)
+        return value
 
     def surviving_graph(self, topology: "Topology") -> "SurvivingGraph":
         """The cached surviving-network structure for ``topology``.
@@ -319,21 +331,24 @@ class ResolvedFaults:
         """
         from ..networks.degraded import SurvivingGraph, surviving_adjacency
 
-        entry = self._cache.get(id(topology))
-        if entry is not None and entry[0]() is topology:
-            return entry[1]
-        graph = SurvivingGraph(surviving_adjacency(topology, self))
-        self._cache[id(topology)] = (weakref.ref(topology), graph)
-        return graph
+        return self.cached(
+            topology,
+            "surviving_graph",
+            lambda: SurvivingGraph(surviving_adjacency(topology, self)),
+        )
+
+    @property
+    def removes(self) -> bool:
+        """Whether any link, node or net is taken out of the machine —
+        the faults that change hop distances (a degraded net still
+        connects its members)."""
+        return bool(self.down_links or self.down_nodes or self.down_nets)
 
     @property
     def structural(self) -> bool:
         """Whether any link/node/net is actually removed or degraded
         (as opposed to only intermittent transmission drops)."""
-        return bool(
-            self.down_links or self.down_nodes or self.down_nets
-            or self.degraded_nets
-        )
+        return self.removes or bool(self.degraded_nets)
 
     def link_down(self, u: int, v: int) -> bool:
         """Whether the (undirected) link ``u — v`` is down."""

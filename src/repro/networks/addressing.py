@@ -42,6 +42,8 @@ __all__ = [
     "gray_code",
     "gray_decode",
     "to_mixed_radix",
+    "to_mixed_radix_array",
+    "mixed_radix_strides",
     "from_mixed_radix",
     "digit",
     "with_digit",
@@ -187,6 +189,26 @@ def to_mixed_radix(value: int, radices: Sequence[int]) -> tuple[int, ...]:
         digits.append(value % r)
         value //= r
     return tuple(reversed(digits))
+
+
+def mixed_radix_strides(radices: Sequence[int]) -> tuple[int, ...]:
+    """Row-major place values of the digits (MSD first): digit ``d`` of a
+    value is ``(value // strides[d]) % radices[d]``."""
+    strides = []
+    place = 1
+    for r in reversed(radices):
+        strides.append(place)
+        place *= r
+    return tuple(reversed(strides))
+
+
+def to_mixed_radix_array(values, radices: Sequence[int]) -> np.ndarray:
+    """Vectorized :func:`to_mixed_radix`: int64 digits of every value,
+    shape ``values.shape + (len(radices),)`` (MSD first).  No range
+    checking — callers pass valid values."""
+    values = np.asarray(values, dtype=np.int64)
+    strides = np.asarray(mixed_radix_strides(radices), dtype=np.int64)
+    return (values[..., None] // strides) % np.asarray(radices, dtype=np.int64)
 
 
 def from_mixed_radix(digits: Sequence[int], radices: Sequence[int]) -> int:

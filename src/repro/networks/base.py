@@ -23,6 +23,8 @@ import enum
 from abc import ABC, abstractmethod
 from typing import Iterator, Sequence
 
+import numpy as np
+
 __all__ = ["ChannelModel", "Topology", "PointToPointTopology", "HypergraphTopology"]
 
 
@@ -69,6 +71,34 @@ class Topology(ABC):
     @abstractmethod
     def distance(self, node_a: int, node_b: int) -> int:
         """Graph distance in data-transfer steps (closed form)."""
+
+    def distance_array(self, nodes_a, nodes_b) -> np.ndarray:
+        """Vectorized :meth:`distance` over parallel node arrays (int64).
+
+        Raises the ``ValueError`` :meth:`distance` raises for the first
+        out-of-range node, scanning pairs in order and ``a`` before ``b``.
+        This generic version maps :meth:`distance`; the concrete
+        topologies override it with their closed forms in NumPy.
+        """
+        a, b = self._node_arrays(nodes_a, nodes_b)
+        return np.fromiter(
+            map(self.distance, a.tolist(), b.tolist()),
+            dtype=np.int64,
+            count=a.shape[0],
+        )
+
+    def _node_arrays(self, nodes_a, nodes_b) -> tuple[np.ndarray, np.ndarray]:
+        """Both node arrays as int64, range-checked like
+        :meth:`validate_node` (first bad pair, ``a`` before ``b``)."""
+        a = np.asarray(nodes_a, dtype=np.int64)
+        b = np.asarray(nodes_b, dtype=np.int64)
+        n = self._num_nodes
+        bad_a = (a < 0) | (a >= n)
+        bad = bad_a | (b < 0) | (b >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            self.validate_node(int(a[i] if bad_a[i] else b[i]))
+        return a, b
 
     @property
     @abstractmethod
@@ -123,9 +153,44 @@ class PointToPointTopology(Topology):
     def links(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected link exactly once as ``(u, v)`` with u < v."""
 
+    def link_array(self) -> np.ndarray:
+        """Every undirected link as a read-only ``(L, 2)`` int64 array,
+        row for row the pairs :meth:`links` yields (cached per instance).
+
+        Built from :meth:`_neighbor_table`: scanning nodes ascending and
+        each node's neighbours in :meth:`neighbors` order, keep the pairs
+        whose neighbour is the larger node — the definition of
+        :meth:`links` on every topology here.
+        """
+        links = getattr(self, "_link_array", None)
+        if links is None:
+            table = self._neighbor_table()
+            nodes = np.arange(self.num_nodes, dtype=np.int64)
+            keep = table > nodes[:, None]
+            links = np.stack(
+                (np.broadcast_to(nodes[:, None], table.shape)[keep],
+                 table[keep]),
+                axis=1,
+            )
+            links.setflags(write=False)
+            self._link_array = links
+        return links
+
+    def _neighbor_table(self) -> np.ndarray:
+        """``(N, k)`` int64: row ``v`` holds :meth:`neighbors` ``(v)`` in
+        order, with ``-1`` in slots that have no neighbour.  Topologies
+        with closed-form adjacency override this; the generic version asks
+        every node."""
+        rows = [self.neighbors(v) for v in self.nodes()]
+        width = max((len(row) for row in rows), default=0)
+        table = np.full((self.num_nodes, width), -1, dtype=np.int64)
+        for v, row in enumerate(rows):
+            table[v, : len(row)] = row
+        return table
+
     def num_links(self) -> int:
         """Number of undirected links."""
-        return sum(1 for _ in self.links())
+        return int(self.link_array().shape[0])
 
     def to_networkx(self):
         """Build a ``networkx.Graph`` view (requires the optional extra)."""
@@ -151,6 +216,19 @@ class HypergraphTopology(Topology):
     @abstractmethod
     def nets_of(self, node: int) -> tuple[int, ...]:
         """Indices (into :meth:`nets`) of the nets ``node`` belongs to."""
+
+    def net_array(self) -> np.ndarray:
+        """All nets as a read-only ``(num_nets, net_size)`` int64 array,
+        row for row the tuples :meth:`nets` returns (cached per instance).
+
+        Every net must have the same size.
+        """
+        nets = getattr(self, "_net_array", None)
+        if nets is None:
+            nets = np.array(self.nets(), dtype=np.int64)
+            nets.setflags(write=False)
+            self._net_array = nets
+        return nets
 
     def num_nets(self) -> int:
         """Number of hypergraph nets."""

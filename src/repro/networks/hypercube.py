@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from .addressing import flip_bit, hamming_distance, ilog2
 from .base import PointToPointTopology
 
@@ -66,11 +68,23 @@ class Hypercube(PointToPointTopology):
                 if node < nb:
                     yield (node, nb)
 
+    def _neighbor_table(self) -> np.ndarray:
+        """:meth:`neighbors` of every node in one array."""
+        nodes = np.arange(self.num_nodes, dtype=np.int64)
+        bits = np.int64(1) << np.arange(self._dimension, dtype=np.int64)
+        return nodes[:, None] ^ bits
+
     def distance(self, node_a: int, node_b: int) -> int:
         """Hamming distance between the two addresses."""
         self.validate_node(node_a)
         self.validate_node(node_b)
         return hamming_distance(node_a, node_b)
+
+    def distance_array(self, nodes_a, nodes_b) -> np.ndarray:
+        """Vectorized Hamming :meth:`distance`."""
+        a, b = self._node_arrays(nodes_a, nodes_b)
+        bits = np.arange(self._dimension, dtype=np.int64)
+        return (((a ^ b)[..., None] >> bits) & 1).sum(axis=-1)
 
     @property
     def diameter(self) -> int:

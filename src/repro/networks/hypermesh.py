@@ -28,7 +28,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .addressing import to_mixed_radix, with_digit
+import numpy as np
+
+from .addressing import (
+    mixed_radix_strides,
+    to_mixed_radix,
+    to_mixed_radix_array,
+    with_digit,
+)
 from .base import HypergraphTopology
 
 __all__ = ["Hypermesh", "Hypermesh2D", "degree_log_hypermesh_shape"]
@@ -60,8 +67,9 @@ class Hypermesh(HypergraphTopology):
         self._radices = (base,) * dims
         # Row-major digit strides (MSD first), for arithmetic digit access
         # on hot paths that must not build coordinate tuples.
-        self._digit_strides = tuple(base ** (dims - 1 - d) for d in range(dims))
+        self._digit_strides = mixed_radix_strides(self._radices)
         self._nets: list[tuple[int, ...]] | None = None
+        self._net_array: np.ndarray | None = None
 
     # ----------------------------------------------------------- structure
     @property
@@ -112,6 +120,13 @@ class Hypermesh(HypergraphTopology):
         cb = self.coordinates(node_b)
         return sum(1 for x, y in zip(ca, cb) if x != y)
 
+    def distance_array(self, nodes_a, nodes_b) -> np.ndarray:
+        """Vectorized :meth:`distance` (count of differing digits)."""
+        a, b = self._node_arrays(nodes_a, nodes_b)
+        ca = to_mixed_radix_array(a, self._radices)
+        cb = to_mixed_radix_array(b, self._radices)
+        return (ca != cb).sum(axis=-1, dtype=np.int64)
+
     @property
     def diameter(self) -> int:
         """``n`` — all digits may differ."""
@@ -145,17 +160,34 @@ class Hypermesh(HypergraphTopology):
     def nets(self) -> list[tuple[int, ...]]:
         """All nets, indexed consistently with :meth:`net_id` (cached)."""
         if self._nets is None:
-            nets: list[tuple[int, ...]] = []
-            per_dim = self.num_nodes // self._base
-            for dim in range(self._dims):
-                seen: dict[int, tuple[int, ...]] = {}
-                for node in self.nodes():
-                    nid = self.net_id(dim, node) - dim * per_dim
-                    if nid not in seen:
-                        seen[nid] = self.net_members(dim, node)
-                nets.extend(seen[i] for i in range(per_dim))
-            self._nets = nets
+            self._nets = [tuple(net) for net in self.net_array().tolist()]
         return self._nets
+
+    def net_array(self) -> np.ndarray:
+        """All nets as a read-only ``(n * N / b, b)`` int64 array (cached).
+
+        Closed form of :meth:`net_id` / :meth:`net_members`: net
+        ``dim * (N / b) + residual`` fixes the other digits to
+        ``residual``'s base-``b`` digits (row-major) and lists its members
+        by their digit in ``dim``.
+        """
+        if self._net_array is None:
+            base, strides = self._base, self._digit_strides
+            residual = np.arange(self.num_nodes // base, dtype=np.int64)
+            fixed = to_mixed_radix_array(residual, (base,) * (self._dims - 1))
+            blocks = []
+            for dim, stride in enumerate(strides):
+                other = np.asarray(
+                    strides[:dim] + strides[dim + 1:], dtype=np.int64
+                )
+                first = fixed @ other  # the member whose ``dim`` digit is 0
+                blocks.append(
+                    first[:, None] + np.arange(base, dtype=np.int64) * stride
+                )
+            nets = np.concatenate(blocks)
+            nets.setflags(write=False)
+            self._net_array = nets
+        return self._net_array
 
     def nets_of(self, node: int) -> tuple[int, ...]:
         """The ``n`` net identifiers ``node`` belongs to (one per dimension)."""

@@ -13,7 +13,14 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .addressing import from_mixed_radix, to_mixed_radix
+import numpy as np
+
+from .addressing import (
+    from_mixed_radix,
+    mixed_radix_strides,
+    to_mixed_radix,
+    to_mixed_radix_array,
+)
 from .base import PointToPointTopology
 
 __all__ = ["Mesh", "Mesh2D"]
@@ -85,11 +92,32 @@ class Mesh(PointToPointTopology):
                 if node < nb:
                     yield (node, nb)
 
+    def _neighbor_table(self) -> np.ndarray:
+        """:meth:`neighbors` of every node in one array (-1 off the edge)."""
+        nodes = np.arange(self.num_nodes, dtype=np.int64)
+        coords = to_mixed_radix_array(nodes, self._radices)
+        cols = []
+        strides = mixed_radix_strides(self._radices)
+        for dim, (extent, stride) in enumerate(zip(self._radices, strides)):
+            for delta in (-1, +1):
+                c = coords[:, dim] + delta
+                cols.append(
+                    np.where((c >= 0) & (c < extent), nodes + delta * stride, -1)
+                )
+        return np.stack(cols, axis=1)
+
     def distance(self, node_a: int, node_b: int) -> int:
         """Manhattan distance."""
         ca = self.coordinates(node_a)
         cb = self.coordinates(node_b)
         return sum(abs(x - y) for x, y in zip(ca, cb))
+
+    def distance_array(self, nodes_a, nodes_b) -> np.ndarray:
+        """Vectorized Manhattan :meth:`distance`."""
+        a, b = self._node_arrays(nodes_a, nodes_b)
+        ca = to_mixed_radix_array(a, self._radices)
+        cb = to_mixed_radix_array(b, self._radices)
+        return np.abs(ca - cb).sum(axis=-1)
 
     @property
     def diameter(self) -> int:

@@ -14,6 +14,8 @@ from collections import deque
 from itertools import combinations
 from typing import Mapping
 
+import numpy as np
+
 from .base import HypergraphTopology, PointToPointTopology, Topology
 
 __all__ = [
@@ -24,8 +26,10 @@ __all__ = [
     "degree_histogram",
     "max_network_degree",
     "halving_cut_links",
+    "halving_cut_link_mask",
     "halving_cut_nets",
     "net_crossing_ports",
+    "net_crossing_port_counts",
     "exhaustive_bisection_width",
 ]
 
@@ -84,13 +88,42 @@ def max_network_degree(topology: Topology) -> int:
     return max(len(topology.neighbors(node)) for node in topology.nodes())
 
 
-def _halves(topology: Topology) -> tuple[frozenset[int], frozenset[int]]:
+def _half(topology: Topology) -> int:
     n = topology.num_nodes
     if n % 2:
         raise ValueError("halving cut needs an even number of nodes")
-    left = frozenset(range(n // 2))
-    right = frozenset(range(n // 2, n))
-    return left, right
+    return n // 2
+
+
+def halving_cut_link_mask(topology: PointToPointTopology) -> np.ndarray:
+    """Boolean mask over :meth:`~repro.networks.base.PointToPointTopology.\
+link_array`: which links join a node ``< N // 2`` to one ``>= N // 2``.
+
+    The one crossing-link computation behind :func:`halving_cut_links`
+    and the certifier's bisection floor (which also takes odd ``N``).
+    """
+    half = topology.num_nodes // 2
+    links = topology.link_array()
+    return (links[:, 0] < half) != (links[:, 1] < half)
+
+
+def net_crossing_port_counts(
+    topology: HypergraphTopology, alive: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-net one-way capacity across the index-halving cut.
+
+    Row ``i`` is ``min(members_left, members_right)`` of net ``i``
+    (nodes ``< N // 2`` on the left), counting only the members ``alive``
+    marks — a boolean mask over :meth:`~repro.networks.base.\
+HypergraphTopology.net_array` (every member when ``None``).  The one
+    port computation behind :func:`net_crossing_ports` and the
+    certifier's bisection floor.
+    """
+    nets = topology.net_array()
+    if alive is None:
+        alive = np.ones(nets.shape, dtype=bool)
+    left = (alive & (nets < topology.num_nodes // 2)).sum(axis=1, dtype=np.int64)
+    return np.minimum(left, alive.sum(axis=1, dtype=np.int64) - left)
 
 
 def halving_cut_links(topology: PointToPointTopology) -> int:
@@ -101,19 +134,15 @@ def halving_cut_links(topology: PointToPointTopology) -> int:
     the horizontal cut through the middle of a 2D mesh, which yields the
     minimum ``sqrt(N)`` crossing links the paper's Section V uses.
     """
-    left, _ = _halves(topology)
-    return sum(1 for u, v in topology.links() if (u in left) != (v in left))
+    _half(topology)
+    return int(np.count_nonzero(halving_cut_link_mask(topology)))
 
 
 def halving_cut_nets(topology: HypergraphTopology) -> int:
     """Nets with members on both sides of the index-halving bisector."""
-    left, _ = _halves(topology)
-    count = 0
-    for net in topology.nets():
-        members_left = sum(1 for m in net if m in left)
-        if 0 < members_left < len(net):
-            count += 1
-    return count
+    nets = topology.net_array()
+    left = (nets < _half(topology)).sum(axis=1)
+    return int(np.count_nonzero((left > 0) & (left < nets.shape[1])))
 
 
 def net_crossing_ports(topology: HypergraphTopology) -> int:
@@ -124,12 +153,8 @@ def net_crossing_ports(topology: HypergraphTopology) -> int:
     over nets this is the step-capacity analogue of a link count; Section V's
     bisection-bandwidth accounting multiplies it by the per-port bandwidth.
     """
-    left, _ = _halves(topology)
-    total = 0
-    for net in topology.nets():
-        members_left = sum(1 for m in net if m in left)
-        total += min(members_left, len(net) - members_left)
-    return total
+    _half(topology)
+    return int(net_crossing_port_counts(topology).sum())
 
 
 def exhaustive_bisection_width(topology: Topology, max_nodes: int = 14) -> int:

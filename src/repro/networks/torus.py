@@ -17,7 +17,14 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .addressing import from_mixed_radix, to_mixed_radix
+import numpy as np
+
+from .addressing import (
+    from_mixed_radix,
+    mixed_radix_strides,
+    to_mixed_radix,
+    to_mixed_radix_array,
+)
 from .base import PointToPointTopology
 
 __all__ = ["Torus", "Torus2D"]
@@ -85,6 +92,18 @@ class Torus(PointToPointTopology):
                 if node < nb:
                     yield (node, nb)
 
+    def _neighbor_table(self) -> np.ndarray:
+        """:meth:`neighbors` of every node in one array."""
+        nodes = np.arange(self.num_nodes, dtype=np.int64)
+        coords = to_mixed_radix_array(nodes, self._radices)
+        cols = []
+        strides = mixed_radix_strides(self._radices)
+        for dim, (extent, stride) in enumerate(zip(self._radices, strides)):
+            c = coords[:, dim]
+            for delta in (-1, +1) if extent > 2 else (+1,):
+                cols.append(nodes + ((c + delta) % extent - c) * stride)
+        return np.stack(cols, axis=1)
+
     def distance(self, node_a: int, node_b: int) -> int:
         """Sum over dimensions of the shorter way around the ring."""
         ca = self.coordinates(node_a)
@@ -94,6 +113,15 @@ class Torus(PointToPointTopology):
             d = abs(x - y)
             total += min(d, extent - d)
         return total
+
+    def distance_array(self, nodes_a, nodes_b) -> np.ndarray:
+        """Vectorized :meth:`distance` (shorter way around every ring)."""
+        a, b = self._node_arrays(nodes_a, nodes_b)
+        d = np.abs(
+            to_mixed_radix_array(a, self._radices)
+            - to_mixed_radix_array(b, self._radices)
+        )
+        return np.minimum(d, np.asarray(self._radices) - d).sum(axis=-1)
 
     @property
     def diameter(self) -> int:

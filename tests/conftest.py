@@ -35,6 +35,10 @@ settings.register_profile(
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro"))
 
+# The certifier's differential helper lives beside the scalar oracle, not in
+# a test module; rewrite its asserts too, so they report (and survive -O).
+pytest.register_assert_rewrite("bounds.scalar_oracle")
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

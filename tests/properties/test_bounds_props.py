@@ -15,7 +15,11 @@ The soundness obligations, stated as hypothesis properties:
   smaller number;
 * **drop discounting is monotone** — certifying against more adversarial
   drops only ever weakens the floor, so a lossy run cannot be failed for
-  work it provably did not do.
+  work it provably did not do;
+* **the array pass is the scalar oracle** — over drawn machines, demand
+  sets, fault sets (link kills, down nodes, down and degraded nets) and
+  drop counts, the vectorized floor returns the oracle's exact
+  ``(bound, witness)`` or raises its exact ``UnroutableError``.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from bounds.scalar_oracle import assert_identical
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -210,3 +215,36 @@ def test_violation_is_raised_below_the_floor(case):
         certify(topo, demands, bound - 1)
     assert exc.value.certificate.bound == bound
     assert not exc.value.certificate.holds
+
+
+@st.composite
+def fault_models(draw, topo):
+    """A fault set for ``topo``: link kills on point-to-point machines,
+    down and degraded nets on hypergraphs, and in one draw of four a down
+    node (which leaves most demand sets unroutable)."""
+    n = topo.num_nodes
+    nodes = [draw(st.integers(0, n - 1))] if draw(st.integers(0, 3)) == 0 else []
+    if isinstance(topo, Hypermesh2D):
+        nets = st.integers(0, topo.num_nets() - 1)
+        down = draw(st.lists(nets, unique=True, max_size=2))
+        degraded = draw(st.lists(nets, unique=True, max_size=3))
+        return FaultModel(
+            seed=1,
+            node_failures=frozenset(nodes),
+            net_failures=frozenset(down),
+            degraded_nets=frozenset(degraded) - frozenset(down),
+        )
+    links = draw(st.lists(st.sampled_from(sorted(topo.links())), unique=True, max_size=5))
+    return FaultModel(
+        seed=1, node_failures=frozenset(nodes), link_failures=frozenset(links)
+    )
+
+
+@given(topology_and_demands(), st.data(), st.integers(0, 6))
+def test_array_pass_matches_the_scalar_oracle(case, data, k):
+    """Differential axis: same floor, witness (key order, int types) and
+    unroutable message as the scalar oracle, intact and faulted."""
+    topo, demands = case
+    assert_identical(topo, demands, dropped=k)
+    model = data.draw(fault_models(topo))
+    assert_identical(topo, demands, fault_model=model, dropped=k)
