@@ -1,12 +1,15 @@
 """Benchmark-harness configuration.
 
-Every file in this directory regenerates one table or figure of the paper
-(see DESIGN.md's experiment index).  Run with::
+The files here time the ablations, the extensions (E12, E13, E15, E17,
+E18, E20, E21) and the library's hot paths, and record the BENCH_*.json
+trajectories.  The paper's own tables and figures are regenerated and
+golden-checked by ``repro paper`` instead (see docs/REPRODUCING.md).  Run
+with::
 
     pytest benchmarks/ --benchmark-only -s
 
 The ``-s`` shows the regenerated rows next to the timings; every benchmark
-also asserts the reproduced values so the harness doubles as a check.
+also asserts the values it measures, so the harness doubles as a check.
 """
 
 from __future__ import annotations

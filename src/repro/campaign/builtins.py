@@ -200,23 +200,6 @@ def _chaos_sweep() -> CampaignSpec:
     )
 
 
-def _experiments() -> CampaignSpec:
-    from ..experiments import EXPERIMENTS
-
-    return CampaignSpec(
-        "experiments",
-        tuple(
-            TaskSpec(
-                entry="repro.experiments:run_experiment_task",
-                params={"experiment_id": eid},
-                label=eid,
-            )
-            for eid in EXPERIMENTS
-        ),
-        meta={"description": "every registered EXPERIMENTS.md entry"},
-    )
-
-
 def _paper() -> CampaignSpec:
     """Every task behind ``repro paper`` at the paper-scale grid.
 
@@ -242,7 +225,6 @@ BUILTIN_CAMPAIGNS = {
     "engine-sweep-cached": _engine_sweep_cached,
     "comm-avoiding": _comm_avoiding,
     "chaos-sweep": _chaos_sweep,
-    "experiments": _experiments,
     "paper": _paper,
     "paper-smoke": _paper_smoke,
 }

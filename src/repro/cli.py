@@ -1,25 +1,28 @@
-"""Command-line interface: regenerate every table and figure of the paper.
+"""Command-line interface: the paper pipeline plus the library's tools.
 
 Usage (installed as ``repro``, or ``python -m repro``)::
 
     repro paper             # regenerate every paper artifact (results/paper/)
     repro paper --check     # ... and diff tables against checked-in goldens
-    repro tables            # Tables 1A, 1B, 2A, 2B at N=4096
-    repro section4          # the 4K-PE worked comparison (eqs 2-4, IV-B)
-    repro bisection         # Section V bisection bandwidths
-    repro sweep             # speedup vs machine size (headline asymptotics)
-    repro figures           # ASCII Figs 1-3
+    repro paper --list      # the sections (tables, figures) it regenerates
     repro fft --side 8      # run a verified parallel FFT on all networks
     repro sort --side 4     # run a verified parallel bitonic sort
+    repro certify           # achieved steps vs analytic lower bounds
+    repro faults            # degraded-mode sweep over failed links/nets
     repro campaign run engine-sweep --workers 4   # parallel resumable sweep
     repro campaign status engine-sweep            # done / failed / pending
     repro campaign report engine-sweep            # BENCH-style JSON report
     repro trace all --n 64 --summary              # JSONL observability traces
     repro profile engine-hypermesh                # cProfile top-N as JSON
+    repro plans list                              # the routing-plan cache
+    repro serve                                   # routing over HTTP
 
-Subcommands return a nonzero exit code when what they ran failed (an
-experiment that does not reproduce, a campaign task that fails), so the CLI
-composes with CI and shell scripts.
+``repro paper`` is the one way to regenerate a number of the paper; its
+rendered ``results/paper/<section>/tables/*.md`` are the human-readable
+output.  Subcommands return a nonzero exit code when what they ran failed
+(a drifting golden cell, a campaign task that fails), and exit 2 with an
+``error:`` line on stderr for invalid arguments, so the CLI composes with
+CI and shell scripts.
 """
 
 from __future__ import annotations
@@ -29,172 +32,36 @@ import sys
 
 import numpy as np
 
-from .core.complexity import NetworkKind
-from .hardware.technology import GAAS_1992
-from .models.bisection import bisection_bandwidth_formula, bisection_ratios
-from .models.speedup import bitonic_comparison, section4_comparison, speedup_sweep
-from .models.tables import table_1a, table_1b, table_2a, table_2b
-from .viz.diagrams import (
-    render_butterfly_graph,
-    render_hypermesh_2d,
-    render_pe_node,
-)
-from .viz.series import ascii_chart, format_bandwidth, format_rows, format_table, format_time
+from .viz.series import format_table
 
 __all__ = ["main"]
 
-_NETWORKS = (NetworkKind.MESH_2D, NetworkKind.HYPERCUBE, NetworkKind.HYPERMESH_2D)
 
+def _paper_networks(side: int):
+    """The paper's three networks at ``side * side`` PEs.
 
-def _cmd_tables(args: argparse.Namespace) -> None:
-    n = args.num_pes
-    print(f"== Table 1A: hardware complexity before normalization (N={n}) ==")
-    print(
-        format_rows(
-            table_1a(n),
-            ["network", "crossbars", "crossbars_formula", "degree", "diameter", "diameter_formula"],
-        )
-    )
-    print(f"\n== Table 1B: after normalization (N={n}) ==")
-    rows = table_1b(n)
-    for row in rows:
-        row["link_bw"] = format_bandwidth(row["link_bw"])
-    print(format_rows(rows, ["network", "link_bw", "link_bw_formula", "diameter", "d_over_bw"]))
-    print(f"\n== Table 2A: N-FFT step counts (N={n}) ==")
-    print(
-        format_rows(
-            table_2a(n),
-            ["network", "bitrev_steps", "bitrev_formula", "dt_steps", "total_steps", "total_formula"],
-        )
-    )
-    print(f"\n== Table 2B: FFT execution time after normalization (N={n}) ==")
-    rows = table_2b(n)
-    for row in rows:
-        row["step_time"] = format_time(row["step_time"])
-        row["comm_time"] = format_time(row["comm_time"])
-    print(
-        format_rows(
-            rows,
-            ["network", "dt_steps", "steps_formula", "step_time", "comm_time", "time_formula"],
-        )
-    )
-
-
-def _print_comparison(title: str, cmp_) -> None:
-    print(f"== {title} ==")
-    rows = []
-    for kind in _NETWORKS:
-        t = cmp_.times[kind]
-        rows.append(
-            [kind.value, f"{t.steps:g}", format_time(t.step_time), format_time(t.total)]
-        )
-    print(format_table(["network", "steps", "per step", "total comm time"], rows))
-    print(
-        f"hypermesh speedup: {cmp_.speedup_vs_mesh:.1f}x vs mesh, "
-        f"{cmp_.speedup_vs_hypercube:.1f}x vs hypercube"
-    )
-
-
-def _cmd_section4(args: argparse.Namespace) -> None:
-    n = args.num_pes
-    _print_comparison(
-        f"Section IV-A: {n}-point FFT on {n} PEs, negligible propagation delay",
-        section4_comparison(n),
-    )
-    print()
-    _print_comparison(
-        "Section IV-A variant: bit-reversal not needed",
-        section4_comparison(n, include_bitrev=False),
-    )
-    print()
-    _print_comparison(
-        "Section IV-B: 20 ns propagation delay on long-line networks",
-        section4_comparison(n, propagation_delay=20e-9),
-    )
-    print()
-    _print_comparison(
-        "Section IV-A cross-check: bitonic sort ([13] quotes 12.3x / 6.47x)",
-        bitonic_comparison(n),
-    )
-
-
-def _cmd_bisection(args: argparse.Namespace) -> None:
-    n = args.num_pes
-    print(f"== Section V: bisection bandwidth (N={n}, paper convention) ==")
-    rows = []
-    for kind in _NETWORKS:
-        bb = bisection_bandwidth_formula(kind, n, GAAS_1992, paper_convention=True)
-        rows.append([kind.value, f"{bb.channels:g}", format_bandwidth(bb.per_channel),
-                     format_bandwidth(bb.total)])
-    print(format_table(["network", "crossing channels", "per channel", "bisection BW"], rows))
-    r_mesh, r_hc = bisection_ratios(n, GAAS_1992)
-    print(f"hypermesh / mesh   = {r_mesh:g}  (O(sqrt N): 2.5*sqrt(N) = {2.5 * n**0.5:g})")
-    print(f"hypermesh / h-cube = {r_hc:g}  (O(log N): log2(N) = {n.bit_length() - 1})")
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .campaign import CampaignSpec, run_campaign
-
-    sizes = [4**k for k in range(2, args.max_exponent + 1)]
-    # One task per machine size, submitted through the campaign executor:
-    # `--workers` fans the sizes out over worker processes and a crashing
-    # size surfaces as a failed task instead of killing the sweep.
-    spec = CampaignSpec.from_grid(
-        "speedup-sweep", "repro.models.speedup:sweep_task", {"n": sizes}
-    )
-    result = run_campaign(spec, workers=getattr(args, "workers", 1))
-    if not result.ok:
-        for record in result.records:
-            if not record.ok:
-                print(f"sweep task {record.label} failed:", file=sys.stderr)
-                print(record.traceback, file=sys.stderr)
-        return 1
-    rows = [(p["n"], p["vs_mesh"], p["vs_hypercube"]) for p in result.payloads()]
-    print("== Hypermesh FFT speedup vs machine size (paper step convention) ==")
-    print(
-        format_table(
-            ["N", "vs 2D mesh", "vs hypercube"],
-            [[n, f"{m:.2f}", f"{h:.2f}"] for n, m, h in rows],
-        )
-    )
-    print()
-    print(
-        ascii_chart(
-            [float(n) for n, _, _ in rows],
-            {
-                "mesh speedup ~ sqrt(N)/log N": [m for _, m, _ in rows],
-                "cube speedup ~ log N": [h for _, _, h in rows],
-            },
-            log_y=True,
-            title="speedup growth (log y; x = machine sizes 4^k)",
-        )
-    )
-    return 0
-
-
-def _cmd_figures(args: argparse.Namespace) -> None:
-    print("== Fig. 1: 2D hypermesh ==")
-    print(render_hypermesh_2d(args.side))
-    print("\n== Fig. 2: PE-node ==")
-    print(render_pe_node(2))
-    print("\n== Fig. 3: FFT data-flow graph ==")
-    # Largest power of two <= side^2, capped at 16 rows of output.
-    points = 1 << min(4, (args.side * args.side).bit_length() - 1)
-    print(render_butterfly_graph(points))
-
-
-def _cmd_fft(args: argparse.Namespace) -> None:
-    from .fft.parallel import parallel_fft
+    Raises ``ValueError`` for a side that is not a power of two.
+    """
     from .networks import Hypercube, Hypermesh2D, Mesh2D
     from .networks.addressing import ilog2
 
-    side = args.side
-    n = side * side
+    return (Mesh2D(side), Hypercube(ilog2(side * side)), Hypermesh2D(side))
+
+
+def _cmd_fft(args: argparse.Namespace) -> int:
+    from .fft.parallel import parallel_fft
+
+    try:
+        topologies = _paper_networks(args.side)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    n = args.side * args.side
     rng = np.random.default_rng(args.seed)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     expected = np.fft.fft(x)
     print(f"== {n}-point parallel FFT, one sample per PE ==")
-    for topo in (Mesh2D(side), Hypercube(ilog2(n)), Hypermesh2D(side)):
+    for topo in topologies:
         result = parallel_fft(topo, x, validate=True)
         ok = np.allclose(result.spectrum, expected)
         print(
@@ -202,19 +69,22 @@ def _cmd_fft(args: argparse.Namespace) -> None:
             f"transfer steps={result.data_transfer_steps}  "
             f"compute steps={result.computation_steps}"
         )
+    return 0
 
 
-def _cmd_sort(args: argparse.Namespace) -> None:
-    from .networks import Hypercube, Hypermesh2D, Mesh2D
-    from .networks.addressing import ilog2
+def _cmd_sort(args: argparse.Namespace) -> int:
     from .sort.bitonic import parallel_bitonic_sort
 
-    side = args.side
-    n = side * side
+    try:
+        topologies = _paper_networks(args.side)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    n = args.side * args.side
     rng = np.random.default_rng(args.seed)
     keys = rng.normal(size=n)
     print(f"== {n}-key parallel bitonic sort, one key per PE ==")
-    for topo in (Mesh2D(side), Hypercube(ilog2(n)), Hypermesh2D(side)):
+    for topo in topologies:
         result = parallel_bitonic_sort(topo, keys, validate=True)
         ok = bool(np.all(np.diff(result.keys) >= 0))
         print(
@@ -222,124 +92,7 @@ def _cmd_sort(args: argparse.Namespace) -> None:
             f"transfer steps={result.data_transfer_steps}  "
             f"passes={result.computation_steps}"
         )
-
-
-def _cmd_omega(args: argparse.Namespace) -> None:
-    from .networks import OmegaNetwork
-    from .routing import (
-        Permutation,
-        bit_reversal,
-        butterfly_exchange,
-        route_permutation_3step,
-    )
-
-    n = args.num_ports
-    om = OmegaNetwork(n)
-    width = n.bit_length() - 1
-    print(f"== Omega network vs 2D hypermesh, N = {n} ==")
-    admissible = [om.is_admissible(butterfly_exchange(n, b)) for b in range(width)]
-    print(f"FFT butterfly exchanges admissible in one pass: {all(admissible)}")
-    rev = bit_reversal(n)
-    print(
-        f"bit reversal: Omega needs {om.passes_required(rev)} passes, "
-        f"hypermesh {route_permutation_3step(rev).num_steps} steps"
-    )
-    rng = np.random.default_rng(args.seed)
-    passes = [
-        om.passes_required(Permutation.random(n, rng)) for _ in range(5)
-    ]
-    print(f"5 random permutations: Omega passes {passes}, hypermesh <= 3 each")
-
-
-def _cmd_universality(args: argparse.Namespace) -> None:
-    from .models import empirical_random_routing_steps, slowdown_table
-
-    rows = slowdown_table([2**k for k in (6, 8, 10, 12, 16, 20)])
-    print("== Universal-simulation slowdowns (Section I; [15] vs [13]) ==")
-    print(
-        format_table(
-            ["N", "hypercube O(log N)", "hypermesh O(log/loglog)", "advantage"],
-            [
-                [r.num_pes, f"{r.hypercube:.1f}", f"{r.hypermesh:.2f}", f"{r.advantage:.2f}"]
-                for r in rows
-            ],
-        )
-    )
-    measured = empirical_random_routing_steps(args.num_pes, trials=3)
-    print(
-        f"\nmeasured random-permutation routing at N = {args.num_pes}: "
-        f"hypercube {measured['hypercube_mean_steps']:.1f} steps, "
-        f"degree-log hypermesh {measured['hypermesh_mean_steps']:.1f} steps"
-    )
-
-
-def _cmd_shapes(args: argparse.Namespace) -> None:
-    from .core import map_fft
-    from .hardware import link_bandwidth
-    from .networks import Hypermesh, Hypermesh2D
-
-    print("== 4K-PE hypermesh shapes (Section IV: '8^4, 16^3 and 64^2 ...') ==")
-    rows = []
-    for base, dims in ((8, 4), (16, 3), (64, 2)):
-        hm = Hypermesh2D(64) if dims == 2 else Hypermesh(base, dims)
-        mapping = map_fft(hm)
-        bw = link_bandwidth(hm, GAAS_1992)
-        step = GAAS_1992.packet_bits / bw
-        rows.append(
-            [
-                f"{base}^{dims}",
-                mapping.butterfly_steps,
-                mapping.bitrev_steps,
-                mapping.total_steps,
-                format_time(step),
-                format_time(mapping.total_steps * step),
-            ]
-        )
-    print(
-        format_table(
-            ["shape", "butterfly", "bitrev", "total steps", "per step", "comm time"],
-            rows,
-        )
-    )
-    print("the 2D shape the paper picked is fastest (wide links + 3-step bitrev)")
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    from .experiments import EXPERIMENTS, run_all, run_experiment
-
-    if args.experiment_id.lower() == "all":
-        # The registry sweep runs as a campaign: isolated worker processes,
-        # so one crashing experiment cannot take the sweep down.
-        result = run_all(workers=getattr(args, "workers", 1))
-        failures = 0
-        for record in result.records:
-            eid = record.params["experiment_id"]
-            title = EXPERIMENTS[eid][0]
-            reproduced = (
-                record.ok
-                and isinstance(record.payload, dict)
-                and record.payload.get("reproduced") is True
-            )
-            status = "REPRODUCED" if reproduced else "FAILED"
-            print(f"{eid:4s} {status:10s} {title}")
-            if not reproduced:
-                failures += 1
-                if record.traceback:
-                    print(record.traceback, file=sys.stderr)
-        if failures:
-            print(f"{failures} experiments failed to reproduce", file=sys.stderr)
-            return 1
-        return 0
-    try:
-        result = run_experiment(args.experiment_id)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    print(f"{result.experiment_id}: {result.title}")
-    print(f"reproduced: {result.reproduced}")
-    for key, value in result.details.items():
-        print(f"  {key}: {value}")
-    return 0 if result.reproduced else 1
+    return 0
 
 
 def _load_campaign_spec(ref: str):
@@ -358,7 +111,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
     try:
         spec = _load_campaign_spec(args.spec)
-    except (KeyError, OSError, ValueError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is its repr: print the message itself.
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     store = ResultStore.for_campaign(spec.name, args.store)
@@ -371,15 +128,19 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         f"== campaign {spec.name}: {len(spec)} tasks, "
         f"{args.workers} worker(s), store {store.root} =="
     )
-    result = run_campaign(
-        spec,
-        store,
-        workers=args.workers,
-        task_timeout=args.timeout,
-        retries=args.retries,
-        reuse=not args.force,
-        progress=progress,
-    )
+    try:
+        result = run_campaign(
+            spec,
+            store,
+            workers=args.workers,
+            task_timeout=args.timeout,
+            retries=args.retries,
+            reuse=not args.force,
+            progress=progress,
+        )
+    except ValueError as exc:  # --workers < 1, --retries < 0
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     s = result.summary
     print(format_status_table(result.records))
     print(
@@ -458,7 +219,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import JsonlTraceFile, LinkUtilizationProbe, Tracer
     from .sim.engine import route_demands
     from .sim.task import TOPOLOGY_BUILDERS, build_topology, build_workload
-    from .viz.series import format_table
 
     if args.target == "all":
         targets = list(_TRACE_TOPOLOGIES)
@@ -634,7 +394,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from .networks.base import ChannelModel
     from .sim.engine import route_demands
     from .sim.task import TOPOLOGY_BUILDERS, build_topology, build_workload
-    from .viz.series import format_table
 
     if args.topology not in TOPOLOGY_BUILDERS:
         print(
@@ -786,7 +545,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     """
     from .bounds import BoundViolation
     from .sim.task import TOPOLOGY_BUILDERS, WORKLOAD_BUILDERS
-    from .viz.series import format_table
 
     known_workloads = sorted(WORKLOAD_BUILDERS) + list(CERTIFY_STAGED_WORKLOADS)
     for topology_name in args.topologies:
@@ -963,7 +721,6 @@ def _cmd_paper(args: argparse.Namespace) -> int:
         run_paper,
         write_goldens,
     )
-    from .paper.sections import PROFILES
 
     if args.list:
         rows = [
@@ -1034,28 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tables", help="Tables 1A/1B/2A/2B")
-    p.add_argument("--num-pes", type=int, default=4096)
-    p.set_defaults(func=_cmd_tables)
-
-    p = sub.add_parser("section4", help="the 4K-PE worked comparison")
-    p.add_argument("--num-pes", type=int, default=4096)
-    p.set_defaults(func=_cmd_section4)
-
-    p = sub.add_parser("bisection", help="Section V bisection bandwidths")
-    p.add_argument("--num-pes", type=int, default=4096)
-    p.set_defaults(func=_cmd_bisection)
-
-    p = sub.add_parser("sweep", help="speedup vs machine size")
-    p.add_argument("--max-exponent", type=int, default=10, help="largest 4^k size")
-    p.add_argument("--workers", type=int, default=1,
-                   help="campaign worker processes for the size grid")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("figures", help="ASCII Figs 1-3")
-    p.add_argument("--side", type=int, default=4)
-    p.set_defaults(func=_cmd_figures)
-
     p = sub.add_parser("fft", help="run a verified parallel FFT")
     p.add_argument("--side", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
@@ -1065,17 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sort)
-
-    p = sub.add_parser("omega", help="Omega network vs hypermesh (Section I)")
-    p.add_argument("--num-ports", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_omega)
-
-    p = sub.add_parser(
-        "universality", help="simulation slowdowns (Section I; [15] vs [13])"
-    )
-    p.add_argument("--num-pes", type=int, default=256)
-    p.set_defaults(func=_cmd_universality)
 
     p = sub.add_parser(
         "paper",
@@ -1096,11 +820,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="regenerate only these sections (see --list)")
     p.add_argument("--list", action="store_true",
                    help="list the registered sections and exit")
-    p.add_argument("--check", action="store_true",
-                   help="diff regenerated tables against the goldens; "
-                   "exit 1 on drift, 2 on missing goldens")
-    p.add_argument("--write-golden", action="store_true",
-                   help="record the regenerated tables as the new goldens")
+    # Recording goldens and checking against them are two different runs;
+    # together, --write-golden would overwrite what --check compares with.
+    golden_mode = p.add_mutually_exclusive_group()
+    golden_mode.add_argument("--check", action="store_true",
+                             help="diff regenerated tables against the "
+                             "goldens; exit 1 on drift, 2 on missing goldens")
+    golden_mode.add_argument("--write-golden", action="store_true",
+                             help="record the regenerated tables as the new "
+                             "goldens")
     p.add_argument("--root", default="results/paper",
                    help="output directory (default: results/paper)")
     p.add_argument("--golden-root", default=None,
@@ -1112,14 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="ignore cached campaign results and re-execute")
     p.set_defaults(func=_cmd_paper)
-
-    p = sub.add_parser(
-        "experiment", help="run one registered experiment by ID (or 'all')"
-    )
-    p.add_argument("experiment_id", help="e.g. E5, or 'all'")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for 'all' (isolated per experiment)")
-    p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser(
         "campaign",
@@ -1160,11 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = campaign_sub.add_parser("list", help="list built-in campaigns")
     pc.set_defaults(func=_cmd_campaign_list)
-
-    p = sub.add_parser(
-        "shapes", help="compare the 8^4 / 16^3 / 64^2 hypermesh shapes"
-    )
-    p.set_defaults(func=_cmd_shapes)
 
     p = sub.add_parser(
         "trace",

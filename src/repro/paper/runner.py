@@ -30,11 +30,11 @@ from ..campaign import CampaignResult, ResultStore, run_campaign
 from ..campaign.metrics import TaskRecord
 from .golden import GOLDEN_DIRNAME
 from .sections import (
-    PROFILES,
     PaperProfile,
     SectionArtifacts,
     SectionSpec,
     paper_campaign,
+    resolve_profile,
     resolve_sections,
 )
 
@@ -61,16 +61,6 @@ class PaperRunResult:
         return not self.failed_sections
 
 
-def _resolve_profile(profile: str | PaperProfile) -> PaperProfile:
-    if isinstance(profile, PaperProfile):
-        return profile
-    if profile not in PROFILES:
-        raise ValueError(
-            f"unknown paper profile {profile!r}; known: {sorted(PROFILES)}"
-        )
-    return PROFILES[profile]
-
-
 def run_paper(
     sections: Sequence[str] | None = None,
     profile: str | PaperProfile = "full",
@@ -90,7 +80,7 @@ def run_paper(
     even a ``force=True`` re-execution replays warm plans instead of
     re-planning.  ``store_root=None`` disables the store (pure in-memory).
     """
-    prof = _resolve_profile(profile)
+    prof = resolve_profile(profile)
     specs = resolve_sections(sections)
     result = PaperRunResult(profile=prof, sections=specs, campaign=None,
                             root=Path(root))

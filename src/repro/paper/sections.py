@@ -42,6 +42,7 @@ __all__ = [
     "SectionArtifacts",
     "SectionSpec",
     "PAPER_SECTIONS",
+    "resolve_profile",
     "resolve_sections",
     "paper_campaign",
     "run_section_task",
@@ -921,6 +922,21 @@ PAPER_SECTIONS: dict[str, SectionSpec] = _registry(
 )
 
 
+def resolve_profile(profile: str | PaperProfile) -> PaperProfile:
+    """The registered profile named ``profile``; a profile passes through.
+
+    Raises ``ValueError`` naming the known profiles for an unknown name.
+    """
+    if isinstance(profile, PaperProfile):
+        return profile
+    try:
+        return PROFILES[profile]
+    except KeyError:
+        raise ValueError(
+            f"unknown paper profile {profile!r}; known: {sorted(PROFILES)}"
+        ) from None
+
+
 def resolve_sections(names: Sequence[str] | None) -> list[SectionSpec]:
     """Section specs for ``names`` (registry order), or all of them.
 
@@ -950,12 +966,7 @@ def paper_campaign(
     """
     from ..campaign.spec import CampaignSpec
 
-    if isinstance(profile, str):
-        if profile not in PROFILES:
-            raise KeyError(
-                f"unknown paper profile {profile!r}; known: {sorted(PROFILES)}"
-            )
-        profile = PROFILES[profile]
+    profile = resolve_profile(profile)
     tasks: dict[str, TaskSpec] = {}
     for spec in resolve_sections(sections):
         for task in spec.tasks(profile):

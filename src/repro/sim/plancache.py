@@ -621,8 +621,8 @@ def set_process_default(cache) -> PlanCache | None:
 
     Engine calls that pass ``cache=None`` (the default) consult this cache;
     ``cache=False`` forces live routing even when a default is installed.
-    This is how campaign workers and the experiment registry share one
-    cache without threading a parameter through every layer.  Returns the
+    This shares one cache with every engine call in the process without
+    threading a parameter through every layer.  Returns the
     previously installed default so callers can restore it.
     """
     global _PROCESS_DEFAULT

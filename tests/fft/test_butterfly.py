@@ -47,6 +47,9 @@ class TestStructure:
     def test_dif_order(self):
         g = butterfly_flow_graph(16)
         assert [g.cross_bit(s) for s in range(4)] == [3, 2, 1, 0]
+        g = butterfly_flow_graph(64)
+        assert g.num_stages == 6
+        assert [g.cross_bit(s) for s in range(6)] == [5, 4, 3, 2, 1, 0]
 
     def test_cross_bit_validates(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from repro.networks import Hypermesh, Hypermesh2D
 
 class TestButterflyOnAnyShape:
     @pytest.mark.parametrize(
-        "base,dims", [(2, 4), (4, 2), (4, 3), (8, 2), (16, 1)]
+        "base,dims", [(2, 4), (4, 2), (4, 3), (8, 2), (16, 1), (16, 3), (8, 4)]
     )
     def test_numerics(self, base, dims, rng):
         hm = Hypermesh(base, dims)
@@ -20,7 +20,9 @@ class TestButterflyOnAnyShape:
         result = parallel_fft(hm, x, validate=True)
         assert np.allclose(result.spectrum, np.fft.fft(x))
 
-    @pytest.mark.parametrize("base,dims", [(2, 4), (4, 2), (4, 3)])
+    @pytest.mark.parametrize(
+        "base,dims", [(2, 4), (4, 2), (4, 3), (8, 2), (2, 6)]
+    )
     def test_butterfly_is_log_n_steps(self, base, dims):
         hm = Hypermesh(base, dims)
         mapping = map_fft(hm, include_bit_reversal=False)

@@ -3,6 +3,8 @@ in a single pass and cross-checked between the analytical models and the
 executed schedules.  If this file passes, EXPERIMENTS.md's summary table is
 true."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,10 @@ from repro.models import (
     speedup_sweep,
 )
 from repro.networks import Hypercube, Hypermesh2D, Mesh2D
+from repro.paper import check_goldens, run_paper
+
+#: The checked-in goldens of the paper-scale (N = 4096) profile.
+GOLDEN_FULL = Path(__file__).resolve().parents[2] / "results/paper/golden/full"
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +82,9 @@ class TestExecutedStepCounts(object):
         mapping = map_fft(Mesh2D(64))
         assert mapping.total_steps == 252
         assert mapping.total_steps > 160
+        # Butterfly 2(sqrt N - 1) = 126; no-wrap bit reversal >= 126.
+        assert mapping.butterfly_steps == 126
+        assert mapping.bitrev_steps >= 126
 
 
 class TestConclusionsSection:
@@ -110,3 +119,24 @@ class TestEveryScheduleValidates:
         n = side * side
         for topo in (Mesh2D(side), Hypercube(n.bit_length() - 1), Hypermesh2D(side)):
             map_fft(topo).validate()
+
+
+class TestFullProfileGoldens:
+    """The paper's own numbers, cell by cell: ``repro paper --profile full
+    --check`` as a tier-1 test, so a drifting N = 4096 value fails here and
+    not only in a manual run."""
+
+    def test_every_full_profile_table_matches_its_golden(
+        self, tmp_path, monkeypatch
+    ):
+        # The routed section's tasks write the disk plan cache under the
+        # working directory; keep it out of the repository tree.
+        monkeypatch.chdir(tmp_path)
+        result = run_paper(profile="full", store_root=None,
+                           root=tmp_path / "paper")
+        assert result.ok, result.failed_sections
+        report = check_goldens(result.artifacts, tmp_path / "paper", "full",
+                               golden_dir=GOLDEN_FULL)
+        assert report.missing == [] and report.unexpected == []
+        assert report.diffs == [], report.format()
+        assert report.checked == len(list(GOLDEN_FULL.glob("*/*.json")))

@@ -91,6 +91,16 @@ class TestSection4B:
         assert cmp_.speedup_vs_mesh == pytest.approx(13.3, abs=0.05)
         assert cmp_.speedup_vs_hypercube == pytest.approx(6.0, abs=0.05)
 
+    def test_hypermesh_wins_at_every_line_delay(self):
+        """Sweeping the line delay 0-100 ns: the advantage over the mesh
+        shrinks monotonically, but the hypermesh stays ahead of both."""
+        sweep = [section4_comparison(propagation_delay=d * 1e-9)
+                 for d in (0, 10, 20, 50, 100)]
+        assert all(c.speedup_vs_mesh > 1 for c in sweep)
+        assert all(c.speedup_vs_hypercube > 1 for c in sweep)
+        vs_mesh = [c.speedup_vs_mesh for c in sweep]
+        assert vs_mesh == sorted(vs_mesh, reverse=True)
+
 
 class TestSection5:
     def test_bisection_ratios(self):

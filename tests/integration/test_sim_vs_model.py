@@ -83,3 +83,5 @@ class TestOrdering:
         hc = map_fft(Hypercube(12))
         assert hm.total_steps == 15
         assert hc.total_steps == 24
+        hm.validate()
+        hc.validate()

@@ -80,3 +80,21 @@ class TestTable2B:
     def test_asymptotic_strings(self):
         rows = {r["network"]: r for r in table_2b(4096)}
         assert rows["2D hypermesh"]["time_formula"] == "O(log N/KL)"
+
+    def test_comm_times_follow_their_asymptotic_forms(self):
+        """Normalized by O(sqrt N), O(log^2 N) and O(log N), the computed
+        times stay within a constant band over N = 16 .. 4096."""
+        import math
+
+        series = {"2D mesh": [], "hypercube": [], "2D hypermesh": []}
+        shape = {
+            "2D mesh": math.sqrt,
+            "hypercube": lambda n: math.log2(n) ** 2,
+            "2D hypermesh": math.log2,
+        }
+        for n in (4**k for k in range(2, 7)):
+            for row in table_2b(n, GAAS_1992):
+                series[row["network"]].append(
+                    row["comm_time"] / shape[row["network"]](n))
+        for values in series.values():
+            assert max(values) / min(values) < 2.0

@@ -37,6 +37,8 @@ class TestDenseExchange:
         cmp_ = dense_exchange_time(16, MESH_BW, GAAS_1992)
         serialization = GAAS_1992.packet_bits / MESH_BW
         assert cmp_.store_and_forward == pytest.approx(16 * serialization)
+        cmp_ = dense_exchange_time(32, MESH_BW, GAAS_1992)
+        assert cmp_.store_and_forward == pytest.approx(32 * 50e-9)
 
     def test_rejects_zero_distance(self):
         with pytest.raises(ValueError):

@@ -79,6 +79,9 @@ class TestNets:
         assert sorted(row1) == [4, 5, 6, 7]
         col2 = nets[hm.col_net(2)]
         assert sorted(col2) == [2, 6, 10, 14]
+        assert sorted(nets[hm.row_net(0)]) == [0, 1, 2, 3]
+        assert sorted(nets[hm.col_net(0)]) == [0, 4, 8, 12]
+        assert hm.num_nets() == 8
 
 
 class TestSharedNet:

@@ -118,7 +118,7 @@ class TestHypermeshContrast:
     """Section I's claim, head to head: permutations that block the Omega
     network cost the 2D hypermesh at most 3 steps."""
 
-    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("n", [16, 64, 256])
     def test_bit_reversal(self, n):
         from repro.routing import route_permutation_3step
 

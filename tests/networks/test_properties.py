@@ -41,15 +41,17 @@ class TestDiameter:
     def test_closed_form_matches_bfs(self, any_topology):
         assert any_topology.diameter == computed_diameter(any_topology)
 
-    @pytest.mark.parametrize("side", [2, 3, 4, 5])
+    @pytest.mark.parametrize("side", [2, 3, 4, 5, 8])
     def test_mesh_scaling(self, side):
         assert computed_diameter(Mesh2D(side)) == 2 * (side - 1)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
     def test_hypercube_scaling(self, dim):
         assert computed_diameter(Hypercube(dim)) == dim
 
-    @pytest.mark.parametrize("base,dims", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize(
+        "base,dims", [(2, 2), (3, 2), (4, 2), (8, 2), (2, 3), (3, 3)]
+    )
     def test_hypermesh_scaling(self, base, dims):
         assert computed_diameter(Hypermesh(base, dims)) == dims
 

@@ -137,6 +137,17 @@ class TestComputedSections:
         networks = {r["network"] for r in payload["tables"][0]["rows"]}
         assert {"2D mesh", "hypercube", "2D hypermesh"} <= networks
 
+    def test_figures_section_renders_figs_1_to_3(self):
+        payload = run_section_task({
+            "section": "figures", "schema": 1, "profile": SMOKE.to_params()
+        })
+        arts = SectionArtifacts.from_dict(payload)
+        titles = [f.title for f in arts.figures]
+        assert [t.split(" —")[0] for t in titles] == [
+            "Fig. 1", "Fig. 2", "Fig. 3"]
+        assert "row net" in arts.figures[0].text
+        assert "bit-reversal" in arts.figures[2].text
+
     def test_grid_section_labels_are_unique(self):
         for spec in PAPER_SECTIONS.values():
             tasks = spec.tasks(SMOKE)
@@ -169,7 +180,7 @@ class TestCampaignExpansion:
         assert len(spec) == 1 + 3  # one registry task + three routed tasks
 
     def test_unknown_profile(self):
-        with pytest.raises(KeyError, match="unknown paper profile"):
+        with pytest.raises(ValueError, match="unknown paper profile"):
             paper_campaign("huge")
 
     def test_unknown_section(self):

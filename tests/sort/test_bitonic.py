@@ -79,14 +79,24 @@ class TestStepAccounting:
         assert result.data_transfer_steps == 10
         assert result.computation_steps == 10
 
-    def test_hypermesh_same_step_count_as_hypercube(self):
+    def test_hypermesh_same_step_count_as_hypercube(self, rng):
         hm = parallel_bitonic_sort(Hypermesh2D(4), np.zeros(16))
         hc = parallel_bitonic_sort(Hypercube(4), np.zeros(16))
         assert hm.data_transfer_steps == hc.data_transfer_steps
+        keys = rng.normal(size=256)
+        hm = parallel_bitonic_sort(Hypermesh2D(16), keys)
+        hc = parallel_bitonic_sort(Hypercube(8), keys)
+        assert hm.data_transfer_steps == hc.data_transfer_steps == 36
+        assert np.array_equal(hm.keys, np.sort(keys))
+        assert np.array_equal(hc.keys, np.sort(keys))
 
-    def test_mesh_steps_match_model(self):
+    def test_mesh_steps_match_model(self, rng):
         result = parallel_bitonic_sort(Mesh2D(4), np.zeros(16))
         assert result.data_transfer_steps == bitonic_steps(NetworkKind.MESH_2D, 16)
+        keys = rng.normal(size=256)
+        result = parallel_bitonic_sort(Mesh2D(16), keys)
+        assert result.data_transfer_steps == bitonic_steps(NetworkKind.MESH_2D, 256)
+        assert np.array_equal(result.keys, np.sort(keys))
 
     def test_model_4096(self):
         assert bitonic_steps(NetworkKind.HYPERCUBE, 4096) == 78

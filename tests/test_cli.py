@@ -1,4 +1,5 @@
-"""Smoke tests for the CLI (every subcommand runs and prints key figures)."""
+"""Smoke tests for the CLI: every subcommand runs, and invalid arguments
+exit 2 with an ``error:`` line on stderr."""
 
 import pytest
 
@@ -11,45 +12,17 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["tables"])
-        assert args.num_pes == 4096
+        args = build_parser().parse_args(["fft"])
+        assert args.side == 8 and args.seed == 0
+
+
+#: The regenerator verbs `repro paper` replaced; each is now an unknown
+#: command, so argparse rejects it with its usage error.
+REMOVED_VERBS = ("tables", "section4", "bisection", "sweep", "figures",
+                 "omega", "universality", "shapes", "experiment")
 
 
 class TestCommands:
-    def test_tables(self, capsys):
-        assert main(["tables", "--num-pes", "64"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1A" in out and "Table 2B" in out
-
-    def test_tables_4096_shows_published_times(self, capsys):
-        main(["tables"])
-        out = capsys.readouterr().out
-        assert "8.00 us" in out
-        assert "3.12 us" in out
-        assert "300.0 ns" in out
-
-    def test_section4(self, capsys):
-        main(["section4"])
-        out = capsys.readouterr().out
-        assert "26.7x vs mesh" in out
-        assert "10.4x vs hypercube" in out
-        assert "13.3x vs mesh" in out
-
-    def test_bisection(self, capsys):
-        main(["bisection"])
-        out = capsys.readouterr().out
-        assert "hypermesh / mesh" in out
-
-    def test_sweep(self, capsys):
-        main(["sweep", "--max-exponent", "5"])
-        out = capsys.readouterr().out
-        assert "legend" in out
-
-    def test_figures(self, capsys):
-        main(["figures", "--side", "3"])
-        out = capsys.readouterr().out
-        assert "Fig. 1" in out and "Fig. 3" in out
-
     def test_fft(self, capsys):
         main(["fft", "--side", "4"])
         out = capsys.readouterr().out
@@ -60,29 +33,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.count("sorted=True") == 3
 
-    def test_omega(self, capsys):
-        main(["omega", "--num-ports", "16"])
-        out = capsys.readouterr().out
-        assert "admissible in one pass: True" in out
-        assert "hypermesh 3 steps" in out
+    @pytest.mark.parametrize("side", [3, 0])
+    def test_fft_invalid_side_exits_2(self, side, capsys):
+        assert main(["fft", "--side", str(side)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err and captured.out == ""
 
-    def test_universality(self, capsys):
-        main(["universality", "--num-pes", "64"])
-        out = capsys.readouterr().out
-        assert "advantage" in out
-        assert "measured random-permutation routing" in out
+    def test_sort_invalid_side_exits_2(self, capsys):
+        assert main(["sort", "--side", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "power of two" in err
 
-    def test_shapes(self, capsys):
-        main(["shapes"])
-        out = capsys.readouterr().out
-        assert "64^2" in out and "300.0 ns" in out
-
-    def test_sweep_parallel_matches_serial(self, capsys):
-        main(["sweep", "--max-exponent", "4"])
-        serial = capsys.readouterr().out
-        main(["sweep", "--max-exponent", "4", "--workers", "2"])
-        parallel = capsys.readouterr().out
-        assert parallel == serial
+    @pytest.mark.parametrize("verb", REMOVED_VERBS)
+    def test_removed_verb_exits_2(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestPaperCommand:
@@ -137,6 +105,28 @@ class TestPaperCommand:
         assert self._run(tmp_path, "--check") == 1
         out = capsys.readouterr().out
         assert "DRIFT" in out and "'diameter'" in out and "999999" in out
+
+    def test_failing_section_exits_1(self, tmp_path, monkeypatch, capsys):
+        """A section whose task fails fails the process, not just its table:
+        CI and scripts key off the exit code.  The campaign's workers fork
+        from this process, so they inherit the patched model."""
+        import repro.models.tables as tables
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected section failure")
+
+        monkeypatch.setattr(tables, "table_1a", broken)
+        assert self._run(tmp_path) == 1
+        assert "section table-1a failed" in capsys.readouterr().err
+
+    def test_check_with_write_golden_is_usage_error(self, tmp_path, capsys):
+        """Writing goldens and checking against them are separate runs:
+        together, the write would overwrite what the check compares with."""
+        with pytest.raises(SystemExit) as exc:
+            self._run(tmp_path, "--check", "--write-golden")
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not (tmp_path / "paper" / "golden").exists()
 
     def test_unknown_section_is_usage_error(self, tmp_path, capsys):
         assert main(["paper", "--sections", "table-9z",
@@ -228,7 +218,7 @@ class TestCampaignCommands:
     def test_list(self, capsys):
         assert main(["campaign", "list"]) == 0
         out = capsys.readouterr().out
-        assert "engine-sweep" in out and "experiments" in out
+        assert "engine-sweep" in out and "paper-smoke" in out
 
     def test_run_status_report_cycle(self, tmp_path, capsys):
         store = str(tmp_path)
@@ -283,7 +273,17 @@ class TestCampaignCommands:
 
     def test_run_unknown_campaign(self, capsys):
         assert main(["campaign", "run", "no-such-campaign"]) == 2
-        assert "unknown campaign" in capsys.readouterr().err
+        # The message itself, not the KeyError's quoted repr.
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown campaign 'no-such-campaign'")
+
+    def test_run_zero_workers_exits_2(self, tmp_path, capsys):
+        rc = main(["campaign", "run", "engine-sweep-small", "--workers", "0",
+                   "--store", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "workers" in err
+        assert "Traceback" not in err
 
     def test_status_unknown_campaign(self, tmp_path, capsys):
         rc = main(["campaign", "status", "ghost", "--store", str(tmp_path)])

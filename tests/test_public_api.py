@@ -21,7 +21,6 @@ PACKAGES = [
     "repro.algos",
     "repro.models",
     "repro.viz",
-    "repro.experiments",
     "repro.service",
 ]
 
